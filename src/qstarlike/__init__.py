@@ -10,6 +10,7 @@ from .bounds import (
     bernardi_coeff_bound,
     bernardi_fekete_bound,
     coeff_bound,
+    coeff_bounds,
     fekete_szego_bound,
     fekete_szego_value,
     make_report,
@@ -40,6 +41,7 @@ from .operators import (
     BernardiParams,
     LambdaTable,
     apply_L,
+    bernardi_factors,
     bernardi_jackson,
     bernardi_series,
     lambda_coeff,
@@ -68,6 +70,8 @@ from .qarith import (
     q_gamma_int,
     q_number,
     q_number_real,
+    q_numbers,
+    q_numbers_real,
     q_pochhammer,
 )
 from .series import (

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import JanowskiParams
-from .operators import lambda_coeff
-from .qarith import LambdaConvention, QContext, q_number, q_number_real
+from .operators import bernardi_factors, lambda_coeff, lambda_table
+from .qarith import LambdaConvention, QContext, q_number, q_numbers, q_numbers_real
 from .series import NormalizedMember
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "psi_values",
     "psi_table",
     "coeff_bound",
+    "coeff_bounds",
     "fekete_szego_bound",
     "fekete_szego_value",
     "third_functional_value",
@@ -50,12 +51,14 @@ def psi(n: int, ctx: QContext) -> float:
     """
     if n != int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    q = ctx.q
-    return q_number(ctx.p, q) / (q**ctx.p * q_number(int(n), q))
+    return float(psi_values(ctx, int(n))[-1])
 
 
 def psi_values(ctx: QContext, order: int) -> np.ndarray:
-    return np.array([psi(n, ctx) for n in range(1, order + 1)])
+    """psi_1 .. psi_order from one q-number table."""
+    q, p = ctx.q, ctx.p
+    qn = q_numbers(max(p, order), q)
+    return qn[p] / (q**p * qn[1 : order + 1])
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,28 @@ def coeff_bound(n: int, ctx: QContext, jp: JanowskiParams) -> float:
     """
     if n != int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     span = jp.A - jp.B
-    value = span * psi(n, ctx) / lambda_coeff(n, ctx)
-    for t in range(1, int(n)):
-        value *= 1.0 + span * psi(t, ctx)
-    return value
+    psis = psi_values(ctx, n)
+    # an accumulate, not a reduction, so the factors apply strictly left to right
+    chain = np.empty(n)
+    chain[0] = span * psis[-1] / lambda_table(ctx, n).values[-1]
+    chain[1:] = 1.0 + span * psis[:-1]
+    return float(np.multiply.accumulate(chain)[-1])
+
+
+def coeff_bounds(ctx: QContext, jp: JanowskiParams, order: int) -> np.ndarray:
+    """coeff_bound(n) for n = 1 .. order, equal to it bit for bit.
+
+    Entry n starts at (A-B) psi_n / Lambda_n and takes the factors
+    1 + (A-B) psi_t in the order t = 1, 2, ..., n-1, as coeff_bound does.
+    """
+    span = jp.A - jp.B
+    psis = psi_values(ctx, order)
+    out = span * psis / lambda_table(ctx, order).values
+    for t, factor in enumerate((1.0 + span * psis[:-1]).tolist(), start=1):
+        out[t:] *= factor
+    return out
 
 
 def fekete_szego_bound(lam: complex, ctx: QContext, jp: JanowskiParams) -> float:
@@ -100,8 +120,8 @@ def fekete_szego_bound(lam: complex, ctx: QContext, jp: JanowskiParams) -> float
     other reading makes the underlying quadratic-coefficient lemma unusable.
     """
     span = jp.A - jp.B
-    psi1, psi2 = psi(1, ctx), psi(2, ctx)
-    lam1, lam2 = lambda_coeff(1, ctx), lambda_coeff(2, ctx)
+    psi1, psi2 = psi_values(ctx, 2).tolist()
+    lam1, lam2 = lambda_table(ctx, 2).values.tolist()
     upsilon = (jp.B - span * psi1) + (lam2 * psi1**2 / (lam1**2 * psi2)) * span * complex(lam)
     return span * psi2 / lam2 * max(1.0, abs(upsilon))
 
@@ -128,7 +148,7 @@ def third_functional_value(f: NormalizedMember, ctx: QContext | None = None) -> 
         raise ValueError("series must retain at least three coefficients past the lead")
     q = ctx.q
     a1, a2, a3 = f.series.coeffs[1], f.series.coeffs[2], f.series.coeffs[3]
-    l1, l2, l3 = (lambda_coeff(n, ctx) for n in (1, 2, 3))
+    l1, l2, l3 = lambda_table(ctx, 3).values.tolist()
     c2 = (q + 2.0) / (q * q + q + 1.0)
     c3 = 1.0 / q_number(3, q)
     return abs(a3 - c2 * (l1 * l2 / l3) * a2 * a1 + c3 * (l1**3 / l3) * a1**3)
@@ -148,9 +168,7 @@ def third_functional_bound(ctx: QContext, jp: JanowskiParams) -> float:
 
 def bernardi_coeff_bound(n: int, bp, jp: JanowskiParams) -> float:
     """coeff_bound(n) shrunk by the Bernardi factor [eta+p,q]/[eta+p+n,q]."""
-    ctx = bp.ctx
-    factor = q_number_real(bp.eta + ctx.p, ctx.q) / q_number_real(bp.eta + ctx.p + n, ctx.q)
-    return factor * coeff_bound(n, ctx, jp)
+    return float(bernardi_factors(bp, n)[-1]) * coeff_bound(n, bp.ctx, jp)
 
 
 def bernardi_fekete_bound(sigma: complex, bp, jp: JanowskiParams) -> float:
@@ -160,10 +178,7 @@ def bernardi_fekete_bound(sigma: complex, bp, jp: JanowskiParams) -> float:
     lam = sigma [eta+p,q][eta+p+2,q]/[eta+p+1,q]^2.
     """
     ctx = bp.ctx
-    q = ctx.q
-    e0 = q_number_real(bp.eta + ctx.p, q)
-    e1 = q_number_real(bp.eta + ctx.p + 1, q)
-    e2 = q_number_real(bp.eta + ctx.p + 2, q)
+    e0, e1, e2 = q_numbers_real(bp.eta + ctx.p + np.arange(3.0), ctx.q).tolist()
     effective = complex(sigma) * e0 * e2 / (e1 * e1)
     return (e0 / e2) * fekete_szego_bound(effective, ctx, jp)
 
@@ -193,26 +208,22 @@ def member_majorant(ctx: QContext, jp: JanowskiParams, safety: float = 1.05) -> 
     """
     span = jp.A - jp.B
     q, p = ctx.q, ctx.p
+    scan = 384
+    shift = p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
+    qn = q_numbers(scan + 1 + shift, q)
     # psi_n decreases to [p,q](1-q)/q^p, so the bound's step ratio tends
     # to 1 + span*psi_inf; the scan runs in log space to dodge overflow
-    psi_inf = q_number(p, q) * (1.0 - q) / q**p
+    psi_inf = qn[p] * (1.0 - q) / q**p
     s = safety * (1.0 + span * psi_inf)
     log_s = math.log(s)
-    shift = p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
-    log_bound = math.log(coeff_bound(1, ctx, jp))
-    c = math.exp(log_bound - (1 + p) * log_s)
-    psi_n = psi(1, ctx)
-    scan = 384
-    steps = []
-    for n in range(1, scan + 1):
-        psi_next = psi(n + 1, ctx)
-        lam_ratio = q_number(n + 1 + shift, q) / q_number_real(ctx.mu + n + 1 + shift, q)
-        step = (psi_next / psi_n) * lam_ratio * (1.0 + span * psi_n)
-        steps.append(step)
-        log_bound += math.log(step)
-        c = max(c, math.exp(log_bound - (n + 1 + p) * log_s))
-        psi_n = psi_next
-    if not all(st < s for st in steps[-16:]):
+    # step n takes bound_n to bound_(n+1), for n = 1 .. scan
+    psis = psi_values(ctx, scan + 1)
+    ms = np.arange(2.0 + shift, scan + 2 + shift)
+    lam_ratio = qn[2 + shift :] / q_numbers_real(ctx.mu + ms, q)
+    steps = (psis[1:] / psis[:-1]) * lam_ratio * (1.0 + span * psis[:-1])
+    log_bound = np.cumsum(np.concatenate(([math.log(coeff_bound(1, ctx, jp))], np.log(steps))))
+    c = float(np.max(np.exp(log_bound - (np.arange(1, scan + 2) + p) * log_s)))
+    if not np.all(steps[-16:] < s):
         raise ValueError("majorant ratio not dominant after scan; increase safety")
     return c, s
 

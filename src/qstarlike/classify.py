@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import apply_L, lambda_table, q_derivative
-from .qarith import LambdaConvention, QContext, q_number
+from .qarith import LambdaConvention, QContext, q_number, q_numbers
 from .series import NormalizedMember, TruncSeries, evaluate, ratio, scaled, shifted, tail_bound
 
 __all__ = [
@@ -139,14 +139,13 @@ def sufficiency_test(f: NormalizedMember, jp: JanowskiParams) -> MembershipVerdi
     ctx = f.ctx
     q, p = ctx.q, ctx.p
     order = f.series.trunc_order
-    qp = q_number(p, q)
+    qn = q_numbers(p + order, q)
+    qp = float(qn[p])
     rhs = qp * jp.span
     if order == 0:
         return MembershipVerdict(VerdictKind.SUFFICIENCY_PASS, rhs, None)
     lam = lambda_table(ctx, order).values
-    weights = np.array(
-        [q_number(n + p, q) * (1.0 - jp.B) - qp * (1.0 - jp.A) for n in range(1, order + 1)]
-    )
+    weights = qn[p + 1 :] * (1.0 - jp.B) - qp * (1.0 - jp.A)
     terms = lam * weights * np.abs(f.series.coeffs[1:])
     lhs = float(terms.sum())
     margin = rhs - lhs

@@ -11,18 +11,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import (
-    bernardi_coeff_bound,
-    bernardi_fekete_bound,
-    coeff_bound,
-    fekete_szego_bound,
-    write_csv,
-)
+from .bounds import bernardi_fekete_bound, coeff_bounds, fekete_szego_bound, write_csv
 from .classify import (
     JanowskiParams,
     boundary_sample_test,
@@ -30,9 +25,9 @@ from .classify import (
     sufficiency_test,
     verdict_to_json,
 )
-from .operators import BernardiParams, apply_L, bernardi_series, ruscheweyh_classical
+from .operators import BernardiParams, apply_L, bernardi_factors, bernardi_series, ruscheweyh_classical
 from .oracle import dump_corpus, load_corpus, member_matrix, schwarz_corpus, schwarz_to_member
-from .qarith import LambdaConvention, QContext, q_number, q_number_real
+from .qarith import LambdaConvention, QContext, q_number
 from .series import NormalizedMember, load_series, save_series
 
 __all__ = [
@@ -59,6 +54,9 @@ _CONVENTIONS = {
     "literal": LambdaConvention.PAPER_LITERAL,
 }
 
+#: Largest number of points a --lambda-grid may expand to.
+_MAX_LAMBDA_POINTS = 1_000_000
+
 
 def _fmt(x) -> str:
     return f"{x:.15g}"
@@ -82,7 +80,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--A", type=float, default=None, help="Janowski A")
     sub.add_argument("--B", type=float, default=None, help="Janowski B")
     sub.add_argument("--eta", type=float, default=None, help="Bernardi parameter, > -p")
-    sub.add_argument("--N", type=int, default=8, help="truncation order past the lead")
+    sub.add_argument("--N", type=int, default=8, help="truncation order past the lead, >= 1")
     sub.add_argument("--r", type=float, default=0.9, help="boundary sampling radius")
     sub.add_argument("--m", type=int, default=720, help="boundary sample count")
     sub.add_argument("--seed", type=int, default=0, help="base seed for corpora")
@@ -134,6 +132,8 @@ def parse_config(argv) -> RunConfig:
             argv[i : i + 2] = [f"--lambda-grid={argv[i + 1]}"]
             break
     ns = build_parser().parse_args(argv)
+    if ns.N < 1:
+        raise ValueError(f"--N must be at least 1, got {ns.N}")
     params = {
         k: v
         for k, v in vars(ns).items()
@@ -210,6 +210,11 @@ def _cmd_bounds_table(config: RunConfig) -> int:
     for p, q, mu, ab in _grid(params):
         ctx = _context(params, p=p, q=q, mu=mu)
         jp = _janowski(params, ab)
+        bounds = coeff_bounds(ctx, jp, params["N"]).tolist()
+        if params.get("eta") is not None:
+            factors = bernardi_factors(BernardiParams(params["eta"], ctx), params["N"])
+            # bernardi_coeff_bound, for every n at once
+            bernardi_bounds = (factors[1:] * bounds).tolist()
         for n in range(1, params["N"] + 1):
             row = {
                 "p": p,
@@ -219,11 +224,10 @@ def _cmd_bounds_table(config: RunConfig) -> int:
                 "B": jp.B,
                 "convention": params["convention"],
                 "n": n,
-                "coeff_bound": coeff_bound(n, ctx, jp),
+                "coeff_bound": bounds[n - 1],
             }
             if params.get("eta") is not None:
-                bp = BernardiParams(params["eta"], ctx)
-                row["bernardi_bound"] = bernardi_coeff_bound(n, bp, jp)
+                row["bernardi_bound"] = bernardi_bounds[n - 1]
             if observed is not None and n < observed.shape[1]:
                 row["observed"] = float(np.max(np.abs(observed[:, n])))
                 row["slack"] = row["coeff_bound"] - row["observed"]
@@ -286,8 +290,13 @@ def _parse_lambda_grid(text: str) -> np.ndarray:
         start, stop, step = (float(t) for t in text.split(":"))
     except Exception as exc:
         raise ValueError(f"bad lambda grid {text!r}; expected start:stop:step") from exc
-    count = int(round((stop - start) / step)) + 1
-    return np.linspace(start, stop, count)
+    steps = (stop - start) / step if step else math.nan
+    if not (math.isfinite(steps) and 0 <= round(steps) < _MAX_LAMBDA_POINTS):
+        raise ValueError(
+            f"bad lambda grid {text!r}; the step must be nonzero and lead from start to "
+            f"stop in fewer than {_MAX_LAMBDA_POINTS} points"
+        )
+    return np.linspace(start, stop, int(round(steps)) + 1)
 
 
 def _cmd_fs_sweep(config: RunConfig) -> int:
@@ -305,9 +314,9 @@ def _cmd_fs_sweep(config: RunConfig) -> int:
     if params.get("eta") is not None:
         # Bernardi mode: sweep the transform's functional |b2 - sigma b1^2|
         bp = BernardiParams(params["eta"], ctx)
-        base = q_number_real(bp.eta + ctx.p, ctx.q)
-        a1 = a1 * (base / q_number_real(bp.eta + ctx.p + 1, ctx.q))
-        a2 = a2 * (base / q_number_real(bp.eta + ctx.p + 2, ctx.q))
+        factors = bernardi_factors(bp, 2)
+        a1 = a1 * factors[1]
+        a2 = a2 * factors[2]
     rows = []
     for lam in _parse_lambda_grid(params["lambda_grid"]):
         observed = float(np.max(np.abs(a2 - lam * a1 * a1)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import LambdaConvention, QContext, q_number, q_number_real
+from .qarith import LambdaConvention, QContext, q_number_real, q_numbers, q_numbers_real
 from .series import NormalizedMember, TruncSeries, evaluate, hadamard
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "lambda_coeff",
     "lambda_table",
     "phi_kernel",
+    "bernardi_factors",
     "apply_L",
     "ruscheweyh_classical",
     "bernardi_series",
@@ -29,8 +30,11 @@ __all__ = [
     "JACKSON_CUTOFF",
 ]
 
-#: Jackson sums stop once q^k drops below this, or at the term cap.
+#: Jackson sums stop once q^k drops below this, or at an explicit term cap.
 JACKSON_CUTOFF = 1e-12
+
+#: Jackson terms evaluated per array pass; bounds the memory as q -> 1-.
+_JACKSON_CHUNK = 1 << 14
 
 
 def _qnum_array(ks: np.ndarray, q: float) -> np.ndarray:
@@ -65,17 +69,7 @@ def lambda_coeff(n: int, ctx: QContext) -> float:
     """
     if n != int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL:
-        m = int(n) + ctx.p
-    else:
-        m = int(n)
-    # interleaved ratio product: the separate Pochhammer and factorial
-    # products overflow for large m, the factorwise ratios never do (and at
-    # mu = 0 every factor is exactly 1)
-    value = 1.0
-    for j in range(1, m + 1):
-        value *= q_number_real(ctx.mu + float(j), ctx.q) / q_number(j, ctx.q)
-    return value
+    return float(lambda_table(ctx, int(n)).values[-1])
 
 
 @dataclass(frozen=True)
@@ -87,15 +81,24 @@ class LambdaTable:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if arr.size and not np.all(arr > 0.0):
+        if arr.size and not (arr > 0.0).all():
             raise ValueError("kernel coefficients must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
 
 def lambda_table(ctx: QContext, order: int) -> LambdaTable:
-    """Lambda values for offsets n = 1 .. order (may be shared across threads)."""
-    return LambdaTable(ctx, [lambda_coeff(n, ctx) for n in range(1, order + 1)])
+    """Lambda values for offsets n = 1 .. order (may be shared across threads).
+
+    One cumulative product of the factor ratios [mu+j,q]/[j,q], j = 1 .. m
+    (m = n, or n + p under PAPER_LITERAL): the separate Pochhammer and
+    factorial products overflow for large m, the factorwise ratios never do
+    (and at mu = 0 every factor is exactly 1).
+    """
+    shift = ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
+    m = int(order) + shift
+    ratios = q_numbers_real(ctx.mu + np.arange(1.0, m + 1), ctx.q) / q_numbers(m, ctx.q)[1:]
+    return LambdaTable(ctx, np.multiply.accumulate(ratios)[shift:])
 
 
 def phi_kernel(ctx: QContext, order: int) -> TruncSeries:
@@ -139,31 +142,36 @@ class BernardiParams:
             raise ValueError(f"eta must exceed -p = {-self.ctx.p}, got {self.eta}")
 
 
+def bernardi_factors(bp: BernardiParams, order: int) -> np.ndarray:
+    """The q-Bernardi scaling [eta+p,q]/[eta+p+n,q] of offset n, for n = 0 .. order."""
+    ctx = bp.ctx
+    e = q_numbers_real(bp.eta + ctx.p + np.arange(order + 1.0), ctx.q)
+    return e[0] / e
+
+
 def bernardi_series(f: NormalizedMember, bp: BernardiParams) -> TruncSeries:
     """Series form of the q-Bernardi transform: scale offset n by [eta+p,q]/[eta+p+n,q]."""
-    ctx = bp.ctx
-    base = q_number_real(bp.eta + ctx.p, ctx.q)
-    factors = np.array(
-        [base / q_number_real(bp.eta + ctx.p + n, ctx.q) for n in range(f.series.coeffs.size)]
-    )
-    return TruncSeries(ctx.p, factors * f.series.coeffs)
+    factors = bernardi_factors(bp, f.series.trunc_order)
+    return TruncSeries(bp.ctx.p, factors * f.series.coeffs)
 
 
 def bernardi_jackson(
     f: NormalizedMember,
     bp: BernardiParams,
     z: complex,
-    terms: int = 4096,
+    terms: int | None = None,
     allow_noninteger_eta: bool = False,
 ) -> complex:
     """Jackson-integral form: ([eta+p,q]/z^eta) * integral_0^z t^(eta-1) f(t) d_q t.
 
-    The q-integral is the sum z (1-q) sum_k q^k g(q^k z) with g(t) = t^(eta-1) f(t),
-    truncated once q^k < JACKSON_CUTOFF or after `terms` terms, whichever
-    comes first.  Non-integer eta would need a branch choice for t^(eta-1);
-    the default rejects it, and opting in uses principal powers.
+    The q-integral is the sum z (1-q) sum_k q^k g(q^k z) with g(t) = t^(eta-1) f(t)
+    over every k with q^k >= JACKSON_CUTOFF: log(JACKSON_CUTOFF)/log(q) terms,
+    about 27.6 / (1 - q) near q = 1, where bernardi_series is the practical
+    form.  An explicit `terms` also stops the sum after that many terms.
+    Non-integer eta would need a branch choice for t^(eta-1); the default
+    rejects it, and opting in uses principal powers.
     """
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise ValueError("terms must be positive")
     eta = float(bp.eta)
     integral_eta = eta.is_integer()
@@ -176,18 +184,23 @@ def bernardi_jackson(
     if z == 0.0:
         return 0.0 + 0.0j
     q = ctx.q
+    exponent = int(eta) - 1 if integral_eta else eta - 1.0
+    remaining = math.inf if terms is None else int(terms)
     total = 0.0 + 0.0j
-    qk = 1.0
-    for _ in range(terms):
-        if qk < JACKSON_CUTOFF:
-            break
+    first = 1.0
+    while remaining > 0:
+        # q^k by repeated multiplication, continuing from the previous chunk
+        size = int(min(remaining, _JACKSON_CHUNK))
+        steps = np.full(size, q)
+        steps[0] = first
+        qk = np.multiply.accumulate(steps)
+        qk = qk[qk >= JACKSON_CUTOFF]
         t = qk * z
-        if integral_eta:
-            tpow = t ** (int(eta) - 1)
-        else:
-            tpow = t ** (eta - 1.0)
-        total += qk * tpow * evaluate(f.series, t)
-        qk *= q
+        total += np.sum(qk * t**exponent * evaluate(f.series, t))
+        if qk.size < size:
+            break
+        remaining -= size
+        first = qk[-1] * q
     jackson = z * (1.0 - q) * total
     if integral_eta:
         zpow = z ** int(eta)

@@ -214,7 +214,8 @@ def dump_corpus(
 
 
 def load_corpus(src) -> list[dict]:
-    """Parse a JSON-lines corpus back into dicts with complex arrays."""
+    """Parse a JSON-lines corpus back into dicts with complex arrays; rejects
+    NaN and infinite coefficients."""
 
     def _parse(fh):
         rows = []
@@ -223,13 +224,14 @@ def load_corpus(src) -> list[dict]:
             if not line:
                 continue
             obj = json.loads(line)
-            rows.append(
-                {
-                    "seed": obj["seed"],
-                    "w": np.array([complex(re, im) for re, im in obj["w"]]),
-                    "coeffs": np.array([complex(re, im) for re, im in obj["coeffs"]]),
-                }
-            )
+            row = {
+                "seed": obj["seed"],
+                "w": np.array([complex(re, im) for re, im in obj["w"]]),
+                "coeffs": np.array([complex(re, im) for re, im in obj["coeffs"]]),
+            }
+            if not (np.all(np.isfinite(row["w"])) and np.all(np.isfinite(row["coeffs"]))):
+                raise ValueError(f"corpus row with seed {row['seed']} has a non-finite coefficient")
+            rows.append(row)
         return rows
 
     if isinstance(src, (str, os.PathLike)):

@@ -1,8 +1,10 @@
-"""Scalar q-arithmetic: q-numbers, q-factorials, q-Pochhammer symbols, integer Gamma_q.
+"""q-arithmetic: q-numbers, q-factorials, q-Pochhammer symbols, integer Gamma_q.
 
-All functions are pure and operate on plain Python scalars at double
-precision (the single global precision choice for the whole package).
-They are safe to call concurrently from any number of threads.
+The scalar functions operate on plain Python floats at double precision
+(the single global precision choice for the whole package); `q_numbers`
+and `q_numbers_real` are their vectorized forms, equal to them bit for bit.
+All functions are pure and safe to call concurrently from any number of
+threads.
 """
 from __future__ import annotations
 
@@ -10,11 +12,15 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "LambdaConvention",
     "QContext",
     "q_number",
     "q_number_real",
+    "q_numbers",
+    "q_numbers_real",
     "q_factorial",
     "q_pochhammer",
     "q_gamma_int",
@@ -94,6 +100,45 @@ def q_number_real(x: float, q: float) -> float:
     if x.is_integer():
         return q_number(int(x), q)
     return -math.expm1(x * math.log(q)) / (1.0 - q)
+
+
+def q_numbers(m: int, q: float) -> np.ndarray:
+    """[0, q], [1, q], ..., [m, q] as one array.
+
+    The powers are a cumulative product of q and the q-numbers their
+    cumulative sum, the same operations in the same order as q_number, so
+    entry k equals q_number(k, q) bit for bit.
+    """
+    _check_q(q)
+    if m != int(m) or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
+    powers = np.full(int(m), q)
+    powers[:1] = 1.0
+    out = np.zeros(int(m) + 1)
+    # the ufunc methods: np.cumprod/np.cumsum add microseconds of dispatch
+    np.add.accumulate(np.multiply.accumulate(powers), out=out[1:])
+    return out
+
+
+def q_numbers_real(xs, q: float) -> np.ndarray:
+    """[x, q] for every x > 0 in xs, equal to q_number_real bit for bit.
+
+    Integer entries are read from q_numbers; the rest keep the scalar
+    expm1/log form, because a vectorized expm1 may round differently.
+    """
+    _check_q(q)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if xs.size and not xs.min() > 0.0:
+        raise ValueError(f"x must be positive, got {xs.min()}")
+    integral = (xs == np.floor(xs)) & np.isfinite(xs)
+    if integral.all():
+        return q_numbers(int(xs.max(initial=0.0)), q)[xs.astype(int)]
+    log_q = math.log(q)
+    out = -np.array([math.expm1(x * log_q) for x in xs.tolist()]) / (1.0 - q)
+    if integral.any():
+        ks = xs[integral].astype(int)
+        out[integral] = q_numbers(int(ks.max()), q)[ks]
+    return out
 
 
 def q_factorial(n: int, q: float) -> float:

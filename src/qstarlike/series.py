@@ -190,11 +190,13 @@ def save_series(f: TruncSeries, dest) -> None:
 
 
 def load_series(src) -> TruncSeries:
-    """Inverse of save_series."""
+    """Inverse of save_series; rejects NaN and infinite coefficients."""
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     else:
         obj = json.load(src)
     coeffs = [complex(re, im) for re, im in obj["coeffs"]]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("series coefficients must be finite")
     return TruncSeries(int(obj["lead"]), coeffs)

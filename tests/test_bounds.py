@@ -1,4 +1,6 @@
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from qstarlike import (
     BernardiParams,
     JanowskiParams,
+    LambdaConvention,
     NormalizedMember,
     QContext,
     SchwarzPoly,
@@ -14,6 +17,7 @@ from qstarlike import (
     bernardi_fekete_bound,
     bernardi_series,
     coeff_bound,
+    coeff_bounds,
     fekete_szego_bound,
     fekete_szego_value,
     lambda_coeff,
@@ -21,15 +25,77 @@ from qstarlike import (
     member_majorant,
     psi,
     psi_table,
+    q_number,
     q_number_real,
     schwarz_to_member,
     third_functional_bound,
     third_functional_value,
 )
-from qstarlike.bounds import write_csv
+from qstarlike.bounds import psi_values, write_csv
+from qstarlike.cli import AB_GRID
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
+
+#: p x q x mu x convention grid, each context with one Janowski pair.
+TABLE_GRID = [
+    (QContext(p, q, mu, conv), JanowskiParams(*AB_GRID[i % len(AB_GRID)]))
+    for i, (p, q, mu, conv) in enumerate(
+        itertools.product(
+            (1, 2, 3), (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6), (0.0, 0.5, 1.0, 2.5), LambdaConvention
+        )
+    )
+]
+
+
+def scalar_psi(n, ctx):
+    return q_number(ctx.p, ctx.q) / (ctx.q**ctx.p * q_number(n, ctx.q))
+
+
+def scalar_lambdas(ctx, order):
+    """Lambda_1 .. Lambda_order as the scalar left fold of factor ratios."""
+    shift = ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
+    value, out = 1.0, []
+    for j in range(1, order + shift + 1):
+        value *= q_number_real(ctx.mu + float(j), ctx.q) / q_number(j, ctx.q)
+        if j > shift:
+            out.append(value)
+    return out
+
+
+def scalar_coeff_bounds(ctx, jp, order):
+    """Reference: coeff_bound(n) as the scalar left fold, for n = 1 .. order."""
+    span = jp.A - jp.B
+    psis = [scalar_psi(n, ctx) for n in range(1, order + 1)]
+    lams = scalar_lambdas(ctx, order)
+    out = []
+    for n in range(1, order + 1):
+        value = span * psis[n - 1] / lams[n - 1]
+        for t in range(1, n):
+            value *= 1.0 + span * psis[t - 1]
+        out.append(value)
+    return out
+
+
+def scalar_majorant(ctx, jp, safety=1.05):
+    """Reference: the 384-step scalar scan of member_majorant."""
+    span = jp.A - jp.B
+    q, p = ctx.q, ctx.p
+    psi_inf = q_number(p, q) * (1.0 - q) / q**p
+    s = safety * (1.0 + span * psi_inf)
+    log_s = math.log(s)
+    shift = p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
+    log_bound = math.log(coeff_bound(1, ctx, jp))
+    c = math.exp(log_bound - (1 + p) * log_s)
+    psi_n = scalar_psi(1, ctx)
+    for n in range(1, 385):
+        psi_next = scalar_psi(n + 1, ctx)
+        lam_ratio = q_number(n + 1 + shift, q) / q_number_real(ctx.mu + n + 1 + shift, q)
+        step = (psi_next / psi_n) * lam_ratio * (1.0 + span * psi_n)
+        log_bound += math.log(step)
+        c = max(c, math.exp(log_bound - (n + 1 + p) * log_s))
+        psi_n = psi_next
+    return c, s
 
 
 class TestPsi:
@@ -47,6 +113,10 @@ class TestPsi:
                 table = psi_table(QContext(p, q, 0.0), 12)
                 assert np.all(table.values > 0)
                 assert np.all(np.diff(table.values) < 0)
+
+    def test_values_bit_identical_to_scalar(self):
+        for ctx, _ in TABLE_GRID:
+            assert psi_values(ctx, 128).tolist() == [scalar_psi(n, ctx) for n in range(1, 129)]
 
     def test_denominator_identity(self):
         # [n+p,q] - [p,q] = q^p [n,q] exactly; psi uses the right side
@@ -84,6 +154,12 @@ class TestCoeffBound:
                 acc = 1.0 + sum(lams[k - 1] * bounds[k - 1] for k in range(1, n))
                 expect = jp.span * psi(n, ctx) / lams[n - 1] * acc
                 assert bounds[n - 1] == pytest.approx(expect, rel=1e-12)
+
+    def test_bit_identical_to_scalar_fold(self):
+        for ctx, jp in TABLE_GRID:
+            ref = scalar_coeff_bounds(ctx, jp, 128)
+            assert [coeff_bound(n, ctx, jp) for n in range(1, 129)] == ref, (ctx, jp)
+            assert coeff_bounds(ctx, jp, 128).tolist() == ref, (ctx, jp)
 
     def test_positive_over_grid(self):
         for p in (1, 2, 3):
@@ -246,6 +322,13 @@ class TestMajorant:
         c, s = member_majorant(ctx, jp)
         for n in range(1, 41):
             assert coeff_bound(n, ctx, jp) <= c * s ** (n + ctx.p) * (1 + 1e-9)
+
+    def test_matches_scalar_scan(self):
+        for ctx, jp in TABLE_GRID:
+            c, s = member_majorant(ctx, jp)
+            c_ref, s_ref = scalar_majorant(ctx, jp)
+            assert s == s_ref
+            assert abs(c - c_ref) <= 1e-13 * c_ref, (ctx, jp)
 
     def test_tail_below_1e3_where_convergent(self):
         # N = 12, r = 0.5: the envelope tail is certifiable only where the

@@ -68,6 +68,22 @@ class TestBoundsTable:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_order_is_input_error(self, capsys, n):
+        status, out, err = run_cli(capsys, "bounds-table", "--N", n)
+        assert status == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_non_finite_corpus_is_input_error(self, capsys, tmp_path):
+        corpus_path = tmp_path / "c.jsonl"
+        corpus_path.write_text('{"seed": 1, "w": [[0.5, 0.0]], "coeffs": [[1.0, 0.0], [NaN, 0.0]]}\n')
+        status, out, err = run_cli(
+            capsys, "bounds-table", "--p", "1", "--q", "0.5", "--mu", "0",
+            "--A", "1", "--B", "-1", "--N", "1", "--in", str(corpus_path),
+        )
+        assert status == 2
+        assert out == "" and err.startswith("error:")
+
     def test_observed_columns_from_corpus(self, capsys, tmp_path):
         corpus_path = tmp_path / "c.jsonl"
         run_cli(
@@ -118,6 +134,13 @@ class TestCheck:
         path = write_series(tmp_path, "f.json", 2, [1.0])
         status, _, _ = run_cli(capsys, "check", "--in", path, "--p", "1")
         assert status == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_is_input_error(self, capsys, tmp_path, bad):
+        path = write_series(tmp_path, "f.json", 1, [1.0, complex(0.1, bad)])
+        status, out, err = run_cli(capsys, "check", "--in", path, "--p", "1")
+        assert status == 2
+        assert out == "" and err.startswith("error:")
 
     def test_csv_format(self, capsys, tmp_path):
         path = write_series(tmp_path, "f.json", 1, [1.0])
@@ -177,6 +200,12 @@ class TestFsSweep:
     def test_bad_grid_spec(self, capsys):
         status, _, err = run_cli(capsys, "fs-sweep", "--lambda-grid", "nope")
         assert status == 2
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "1:0:1", "0:inf:1", "0:1e300:1e-300"])
+    def test_empty_or_unbounded_grid_is_input_error(self, capsys, grid):
+        status, out, err = run_cli(capsys, "fs-sweep", "--lambda-grid", grid)
+        assert status == 2
+        assert out == "" and err.startswith("error:")
 
     def test_bernardi_sigma_mode(self, capsys):
         status, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from qstarlike import (
     QContext,
     TruncSeries,
     apply_L,
+    bernardi_factors,
     bernardi_jackson,
     bernardi_series,
     evaluate,
@@ -18,13 +20,56 @@ from qstarlike import (
     phi_kernel,
     q_derivative,
     q_number,
+    q_number_real,
+    q_numbers,
     ruscheweyh_classical,
     schwarz_to_member,
     random_schwarz,
 )
+from qstarlike.cli import MU_GRID, P_GRID, Q_GRID
+from qstarlike.operators import JACKSON_CUTOFF
+from qstarlike.oracle import _mp_lambda
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
+
+#: Contexts the vectorized table is gated on: p x q x mu x convention.
+TABLE_GRID = [
+    QContext(p, q, mu, conv)
+    for p in (1, 2, 3)
+    for q in (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6)
+    for mu in (0.0, 0.5, 1.0, 2.0, 2.5, -0.5)
+    for conv in LambdaConvention
+]
+
+
+def scalar_lambdas(ctx, order):
+    """Reference: the scalar left fold of factor ratios, one q_number loop per factor.
+
+    Lambda at offset n is the fold after m = n (or n + p, literal) steps, so
+    one pass records every offset.
+    """
+    shift = ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
+    value, out = 1.0, []
+    for j in range(1, order + shift + 1):
+        value *= q_number_real(ctx.mu + float(j), ctx.q) / q_number(j, ctx.q)
+        if j > shift:
+            out.append(value)
+    return out
+
+
+def scalar_jackson(f, bp, z):
+    """Reference: the term-by-term Jackson sum with a 4096-term cap, one
+    evaluate per term (integer eta)."""
+    q, eta = bp.ctx.q, int(bp.eta)
+    total, qk = 0.0 + 0.0j, 1.0
+    for _ in range(4096):
+        if qk < JACKSON_CUTOFF:
+            break
+        t = qk * z
+        total += qk * t ** (eta - 1) * evaluate(f.series, t)
+        qk *= q
+    return q_number_real(eta + bp.ctx.p, q) * (z * (1.0 - q) * total) / z**eta
 
 
 def member(ctx, tail):
@@ -96,6 +141,33 @@ class TestLambdaCoefficients:
             lambda_coeff(0, CTX)
 
 
+class TestCoefficientTable:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6])
+    def test_q_numbers_bit_identical(self, q):
+        assert q_numbers(64, q).tolist() == [q_number(k, q) for k in range(65)]
+
+    def test_lambda_bit_identical_to_scalar_fold(self):
+        for ctx in TABLE_GRID:
+            assert lambda_table(ctx, 128).values.tolist() == scalar_lambdas(ctx, 128), ctx
+            assert lambda_coeff(37, ctx) == scalar_lambdas(ctx, 37)[-1]
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            QContext(3, 0.99, 2.5, LambdaConvention.PAPER_LITERAL),
+            QContext(1, 1.0 - 1e-6, 0.5),
+            QContext(2, 0.5, -0.5, LambdaConvention.PAPER_LITERAL),
+            QContext(2, 0.9, 1.0),
+        ],
+    )
+    def test_lambda_matches_mpmath(self, ctx):
+        with mpmath.workdps(40):
+            q = mpmath.mpf(ctx.q)
+            ref = np.array([float(_mp_lambda(n, ctx, q)) for n in range(1, 129)])
+        rel = np.abs(lambda_table(ctx, 128).values - ref) / ref
+        assert rel.max() <= 1e-13
+
+
 class TestApplyL:
     def test_identity_kernel(self):
         f = member(CTX, [0.3 - 0.1j, 0.2, 0.05])
@@ -165,6 +237,15 @@ class TestBernardi:
         # [2,q]/[3,q] = 1.5/1.75
         assert out.coeffs[1] == pytest.approx(1.5 / 1.75, rel=1e-13)
 
+    def test_factors_bit_identical_to_scalar(self):
+        for p in (1, 3):
+            for q in (0.3, 0.9, 1.0 - 1e-6):
+                for eta in (-0.5, 0.0, 1.0, 2.5):
+                    bp = BernardiParams(eta, QContext(p, q, 0.0))
+                    base = q_number_real(eta + p, q)
+                    ref = [base / q_number_real(eta + p + n, q) for n in range(17)]
+                    assert bernardi_factors(bp, 16).tolist() == ref
+
     def test_classical_factor(self):
         ctx = QContext(1, 1.0 - 1e-8, 0.0)
         bp = BernardiParams(1.0, ctx)
@@ -208,6 +289,30 @@ class TestBernardi:
         z = 1e-4
         assert bernardi_jackson(f, bp, z) / z**CTX.p == pytest.approx(1.0, abs=1e-3)
         assert bernardi_jackson(f, bp, 0.0) == 0.0
+
+    def test_vectorized_sum_matches_term_loop(self):
+        # the acceptance criterion-7 grid
+        f_tail = [0.4, 0.15j, -0.1, 0.05, 0.02j, 0.01, 0.005, 0.002]
+        for p in P_GRID:
+            for q in Q_GRID:
+                for mu in MU_GRID:
+                    ctx = QContext(p, q, mu)
+                    f = member(ctx, f_tail)
+                    for eta in (1.0, 2.0, 5.0):
+                        bp = BernardiParams(eta, ctx)
+                        for z in (0.5, 0.35j, -0.3 + 0.4j):
+                            ref = scalar_jackson(f, bp, z)
+                            assert abs(bernardi_jackson(f, bp, z) - ref) <= 1e-13 * abs(ref)
+
+    def test_no_silent_truncation_near_one(self):
+        # q^k falls below the cutoff only after ~27.6k terms, so a
+        # 4096-term cap would stop at q^k ~ 0.017 and miss by 1.4e-4
+        ctx = QContext(1, 0.999, 1.0)
+        bp = BernardiParams(1.0, ctx)
+        f = schwarz_to_member(random_schwarz(2, 23), ctx, JP, order=8)
+        for z in (0.5, -0.3 + 0.4j):
+            gap = abs(bernardi_jackson(f, bp, z) - evaluate(bernardi_series(f, bp), z))
+            assert gap <= 1e-8
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("eta", [1.0, 2.0, 5.0])
