@@ -110,7 +110,8 @@ def verdict_to_json(v: MembershipVerdict) -> dict:
 
 
 class SamplePoleError(ValueError):
-    """A sample point sat on (or numerically at) a pole; carries the point."""
+    """A sample point sat on (or numerically at) a pole, or a value there was
+    not finite; carries the point."""
 
     def __init__(self, message: str, witness: complex):
         super().__init__(f"{message} (witness z = {witness})")
@@ -224,8 +225,14 @@ def _eq7_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray, tau: float):
         bad = zs[int(np.argmin(np.abs(den)))]
         raise SamplePoleError("vanishing denominator A - B h(z)", complex(bad))
     v = np.abs(hv - 1.0) / np.abs(den)
+    finite = np.isfinite(hv) & np.isfinite(v)
+    if not finite.all():
+        bad = zs[int(np.argmin(finite))]
+        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
     guard = np.abs(den) - abs(jp.B) * tau
-    allowance = np.where(guard > 0.0, jp.span * tau / np.maximum(guard, 1e-300) ** 2, np.inf)
+    # an infinite guard^2 is the intended limit: it gives a zero allowance
+    with np.errstate(over="ignore"):
+        allowance = np.where(guard > 0.0, jp.span * tau / np.maximum(guard, 1e-300) ** 2, np.inf)
     return v, np.minimum(allowance, _BIG_ALLOWANCE)
 
 
@@ -289,12 +296,18 @@ def boundary_sample_test(
 DEGENERATE_KERNEL: tuple[complex, complex] = (0.0 + 0.0j, 1.0 + 0.0j)
 
 
-def convolution_kernel(theta: float, jp: JanowskiParams, ctx: QContext) -> tuple[complex, complex]:
-    """The pair (N_theta, L_theta) parameterizing the convolution functional."""
+def _kernel_denominator(jp: JanowskiParams, ctx: QContext) -> tuple[float, float]:
+    # [p,q] and d = [p,q] A - B, the common denominator of every kernel pair
     qp = q_number(ctx.p, ctx.q)
     d = qp * jp.A - jp.B
     if d == 0.0:
         raise ValueError("kernel undefined: [p,q] A = B")
+    return qp, d
+
+
+def convolution_kernel(theta: float, jp: JanowskiParams, ctx: QContext) -> tuple[complex, complex]:
+    """The pair (N_theta, L_theta) parameterizing the convolution functional."""
+    qp, d = _kernel_denominator(jp, ctx)
     phase = cmath.exp(-1j * theta)
     return (qp - 1.0) * phase / d, (phase + qp * jp.A) / d
 
@@ -317,20 +330,23 @@ class SamplingSpec:
         return (np.asarray(self.radii)[:, None] * circle[None, :]).ravel()
 
 
-def _kernel_series(nl: tuple[complex, complex], ctx: QContext, order: int) -> TruncSeries:
-    en, el = nl
+def _kernel_weights(jp: JanowskiParams, ctx: QContext, order: int) -> np.ndarray:
+    """Rows wP, wQ and 1 over offsets 0..order.
+
+    With e = e^(-i theta), the pair of convolution_kernel puts
+    (N+1)[n+1,q] - qL[n,q] = wP_n + e wQ_n at offset n; the degenerate pair
+    (0, 1) puts [n+1,q] - q[n,q] = 1 there.
+    """
+    qp, d = _kernel_denominator(jp, ctx)
     q = ctx.q
-    numer = np.zeros(order + 1, dtype=complex)
-    numer[0] = en + 1.0
-    if order >= 1:
-        numer[1] = -q * el
-    denom = np.zeros(order + 1, dtype=complex)
-    denom[0] = 1.0
-    if order >= 1:
-        denom[1] = -(1.0 + q)
-    if order >= 2:
-        denom[2] = q
-    return ratio(TruncSeries(ctx.p, numer), TruncSeries(0, denom), order=order)
+    qn = q_numbers(order + 1, q)
+    return np.stack(
+        [
+            qn[1:] - (q * qp * jp.A / d) * qn[:-1],
+            ((qp - 1.0) * qn[1:] - q * qn[:-1]) / d,
+            np.ones(order + 1),
+        ]
+    )
 
 
 def _convolution_scan(
@@ -342,36 +358,48 @@ def _convolution_scan(
 ):
     """Min |functional| over the (theta, z) grid for each coefficient row of L f.
 
-    Vectorized across rows so corpus sweeps share the kernel series and the
-    power matrix; convolution_test is the single-row wrapper.
+    The functional of angle theta is e^(i theta)(B - [p,q]A) z^(p-1) times
+    P(z) + e^(-i theta) Q(z), where P and Q are the row summed against wP and
+    wQ of _kernel_weights; the degenerate pair gives the plain sum D(z).  The
+    modulus depends on theta only through cos(theta - theta*) with
+    theta* = arg(-Q conj(P)), so at each z the grid minimum lies at one of
+    the two grid angles bracketing theta*, and only those two are evaluated.
+    Vectorized across rows so corpus sweeps share the power matrix;
+    convolution_test is the single-row wrapper.
     """
     if theta_grid < 1:
         raise ValueError("need at least one theta sample")
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
-    order = rows.shape[1] - 1
-    p, q = ctx.p, ctx.q
-    qp = q_number(p, q)
+    n_rows, order = rows.shape[0], rows.shape[1] - 1
+    _, d = _kernel_denominator(jp, ctx)
+    weights = _kernel_weights(jp, ctx, order)
 
     zs = zspec.points()
-    powers = zs[None, :] ** np.arange(order + 1)[:, None]
-    front = zs ** (p - 1)
+    # row by row: complex ** and multiply.accumulate are several times slower
+    powers = np.empty((order + 1, zs.size), dtype=complex)
+    powers[0] = 1.0
+    for k in range(order):
+        np.multiply(powers[k], zs, out=powers[k + 1])
+    sums = (weights[:, None, :] * rows[None, :, :]).reshape(3 * n_rows, order + 1) @ powers
+    P, Q, D = sums.reshape(3, n_rows, zs.size)
+    gain = abs(d) * np.abs(zs) ** (ctx.p - 1)
 
-    thetas = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
-    kernels = [(convolution_kernel(t, jp, ctx), t) for t in thetas]
-    kernels.append((DEGENERATE_KERNEL, 0.0))
+    phases = np.exp(-2j * np.pi * np.arange(theta_grid) / theta_grid)
+    # theta* = arg(Q) - arg(P) + pi; the product Q conj(P) could overflow
+    turns = (np.angle(Q) - np.angle(P)) / (2.0 * np.pi) + 0.5
+    below = np.floor(turns * theta_grid).astype(int) % theta_grid
+    above = (below + 1) % theta_grid
+    grid = np.minimum(np.abs(P + phases[below] * Q), np.abs(P + phases[above] * Q)) * gain
+    degenerate = np.abs(D) * gain
 
-    best = np.full(rows.shape[0], np.inf)
-    witness = np.zeros(rows.shape[0], dtype=complex)
-    for nl, theta in kernels:
-        kappa = _kernel_series(nl, ctx, order)
-        scale = cmath.exp(1j * theta) * (jp.B - qp * jp.A)
-        vals = (rows * kappa.coeffs[None, :]) @ powers * (scale * front)[None, :]
-        mags = np.abs(vals)
-        idx = np.argmin(mags, axis=1)
-        mins = mags[np.arange(rows.shape[0]), idx]
-        better = mins < best
-        best = np.where(better, mins, best)
-        witness = np.where(better, zs[idx], witness)
+    # ties go to the theta grid, which precedes the degenerate pair
+    at = np.arange(n_rows)
+    g_idx = np.argmin(grid, axis=1)
+    d_idx = np.argmin(degenerate, axis=1)
+    g_min, d_min = grid[at, g_idx], degenerate[at, d_idx]
+    use_degenerate = d_min < g_min
+    best = np.where(use_degenerate, d_min, g_min)
+    witness = zs[np.where(use_degenerate, d_idx, g_idx)]
     return best, witness
 
 
@@ -383,10 +411,16 @@ def convolution_test(
 ) -> MembershipVerdict:
     """Scan the convolution functionals for zeros inside the sampled disk.
 
-    For each theta on the grid (plus the degenerate pair N=0, L=1) the kernel
-    series ((N+1) z^p - q L z^(p+1)) / ((1-z)(1-qz)) is Hadamard-multiplied
-    with L f, divided by z and scaled; the minimum |value| over the sampling
-    grid is recorded.  Any minimum below ZERO_TOL is a zero hit and yields
+    For each of theta_grid equispaced angles (plus the degenerate pair N=0,
+    L=1) the kernel ((N+1) z^p - q L z^(p+1)) / ((1-z)(1-qz)) is
+    Hadamard-multiplied with L f, divided by z and scaled, and the minimum
+    |value| over the (theta, z) grid is recorded.  The kernel never becomes
+    a series: its coefficient (N+1)[n+1,q] - qL[n,q] is affine in
+    e^(-i theta) with closed-form weights over the q-number table, so each
+    functional is P(z) + e^(-i theta) Q(z) from two theta-free sums, and at
+    each z only the two grid angles bracketing the continuous minimiser are
+    evaluated.  That gives the grid minimum (not the exact minimum over
+    theta).  Any minimum below ZERO_TOL is a zero hit and yields
     ConvolutionFail with the sample as witness; margin is min - ZERO_TOL.
     """
     zspec = zspec or SamplingSpec()

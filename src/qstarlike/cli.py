@@ -198,6 +198,14 @@ def _cmd_qnum(config: RunConfig) -> int:
     return 0
 
 
+def _corpus_matrix(path: str) -> np.ndarray:
+    """A corpus file's coefficients as rows x (order + 1)."""
+    rows = load_corpus(path)
+    if not rows:
+        raise ValueError(f"corpus {path} has no rows")
+    return np.array([row["coeffs"] for row in rows])
+
+
 def _cmd_bounds_table(config: RunConfig) -> int:
     params = config.params
     observed = None
@@ -205,7 +213,12 @@ def _cmd_bounds_table(config: RunConfig) -> int:
         # corpus columns only make sense for a single pinned grid point
         if any(params.get(k) is None for k in ("p", "q", "mu", "A", "B")):
             raise ValueError("--in with bounds-table needs --p --q --mu --A --B pinned")
-        observed = np.array([row["coeffs"] for row in load_corpus(config.input_path)])
+        observed = _corpus_matrix(config.input_path)
+        if observed.shape[1] - 1 < params["N"]:
+            raise ValueError(
+                f"the observed column needs corpus order >= --N, got corpus order "
+                f"{observed.shape[1] - 1} and --N {params['N']}"
+            )
     rows = []
     for p, q, mu, ab in _grid(params):
         ctx = _context(params, p=p, q=q, mu=mu)
@@ -228,7 +241,7 @@ def _cmd_bounds_table(config: RunConfig) -> int:
             }
             if params.get("eta") is not None:
                 row["bernardi_bound"] = bernardi_bounds[n - 1]
-            if observed is not None and n < observed.shape[1]:
+            if observed is not None:
                 row["observed"] = float(np.max(np.abs(observed[:, n])))
                 row["slack"] = row["coeff_bound"] - row["observed"]
             rows.append(row)
@@ -304,7 +317,11 @@ def _cmd_fs_sweep(config: RunConfig) -> int:
     ctx = _context(params)
     jp = _janowski(params)
     if config.input_path:
-        coeffs = np.array([row["coeffs"] for row in load_corpus(config.input_path)])
+        coeffs = _corpus_matrix(config.input_path)
+        if coeffs.shape[1] < 3:
+            raise ValueError(
+                f"the Fekete-Szego sweep needs corpus order >= 2, got corpus order {coeffs.shape[1] - 1}"
+            )
     else:
         coeffs = member_matrix(
             schwarz_corpus(base_seed=params["seed"]), ctx, jp, order=max(params["N"], 2)

@@ -1,31 +1,41 @@
 import cmath
+import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from qstarlike import (
     DEGENERATE_KERNEL,
+    ZERO_TOL,
     JanowskiParams,
     LambdaConvention,
     MembershipVerdict,
     NormalizedMember,
     QContext,
+    SamplePoleError,
     SamplingSpec,
     SchwarzPoly,
     TruncSeries,
     VerdictKind,
+    apply_L,
     boundary_sample_test,
+    coeff_bound,
     convolution_kernel,
     convolution_test,
     corollary_reduction,
     janowski_value,
+    lambda_table,
+    member_matrix,
     q_number,
+    random_schwarz,
     ratio,
     schwarz_to_member,
     sufficiency_test,
     verdict_to_json,
 )
-from qstarlike.classify import subordination_modulus
+from qstarlike.classify import _convolution_scan, _kernel_weights, subordination_modulus
+from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -183,6 +193,24 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_sample_test(member(CTX, []), JP, r=1.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_expansion_is_a_sample_pole(self):
+        # h of z + 1e20 z^4 overflows in the series division; the verdict must
+        # not be a Fail with margin NaN
+        f = member(CTX, [0.0, 0.0, 1e20])
+        with pytest.raises(SamplePoleError) as info:
+            boundary_sample_test(f, JP)
+        assert info.value.witness == 0.9
+
+    def test_infinite_guard_gives_zero_allowance_without_warning(self):
+        # |A - B h| squares past the float range at z + 1e8 z^4
+        f = member(CTX, [0.0, 0.0, 1e8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = boundary_sample_test(f, JP)
+        assert v.kind is VerdictKind.BOUNDARY_FAIL
+        assert v.margin < 0
+
 
 class TestConvolutionKernel:
     def test_first_pair_vanishes_at_p1(self):
@@ -245,6 +273,155 @@ def test_kernel_weights_match_subordination_only_at_p1():
     assert spread(1) <= 1e-12
     assert spread(2) > 1e-3
     assert spread(3) > 1e-3
+
+
+def _reference_kernel_series(nl, ctx, order):
+    # the kernel ((N+1) z^p - qL z^(p+1)) / ((1-z)(1-qz)) by series division
+    en, el = nl
+    q = ctx.q
+    numer = np.zeros(order + 1, dtype=complex)
+    numer[0] = en + 1.0
+    if order >= 1:
+        numer[1] = -q * el
+    denom = np.zeros(order + 1, dtype=complex)
+    denom[0] = 1.0
+    if order >= 1:
+        denom[1] = -(1.0 + q)
+    if order >= 2:
+        denom[2] = q
+    return ratio(TruncSeries(ctx.p, numer), TruncSeries(0, denom), order=order)
+
+
+def _reference_scan(coeff_rows, ctx, jp, theta_grid, zspec):
+    # one kernel series and one matmul per grid angle, then the degenerate pair
+    rows = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
+    order = rows.shape[1] - 1
+    p, q = ctx.p, ctx.q
+    qp = q_number(p, q)
+    zs = zspec.points()
+    powers = zs[None, :] ** np.arange(order + 1)[:, None]
+    front = zs ** (p - 1)
+    thetas = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
+    kernels = [(convolution_kernel(t, jp, ctx), t) for t in thetas]
+    kernels.append((DEGENERATE_KERNEL, 0.0))
+    best = np.full(rows.shape[0], np.inf)
+    witness = np.zeros(rows.shape[0], dtype=complex)
+    for nl, theta in kernels:
+        kappa = _reference_kernel_series(nl, ctx, order)
+        scale = cmath.exp(1j * theta) * (jp.B - qp * jp.A)
+        vals = (rows * kappa.coeffs[None, :]) @ powers * (scale * front)[None, :]
+        mags = np.abs(vals)
+        idx = np.argmin(mags, axis=1)
+        mins = mags[np.arange(rows.shape[0]), idx]
+        better = mins < best
+        best = np.where(better, mins, best)
+        witness = np.where(better, zs[idx], witness)
+    return best, witness
+
+
+def _assert_minima_close(got, want):
+    # rounding differs from the series route; near-zero minima (the crafted
+    # z + 5 z^2 reaches ~3e-16) are compared absolutely
+    got, want = np.asarray(got), np.asarray(want)
+    small = want < 1e-6
+    assert np.all(np.abs(got - want)[small] <= 1e-12)
+    assert np.all(np.abs(got - want)[~small] <= 1e-9 * want[~small])
+
+
+GRID = list(itertools.product(P_GRID, Q_GRID, MU_GRID, AB_GRID))
+
+
+def _screen_pool(seed, order=32):
+    """The membership-screen benchmark's candidates for one seed: an oracle
+    member per grid point, a copy of every third with a_(p+1) pushed past
+    coeff_bound(1), and the crafted z + 5 z^2."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for k, i in enumerate(rng.permutation(len(GRID))):
+        p, q, mu, ab = GRID[i]
+        ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+        w = random_schwarz(int(rng.integers(1, 5)), int(rng.integers(2**31)))
+        f = schwarz_to_member(w, ctx, jp, order=order)
+        pool.append((f, jp))
+        if k % 3 == 2:
+            push = coeff_bound(1, ctx, jp) * (1.05 + rng.uniform())
+            coeffs = np.array(f.series.coeffs)
+            coeffs[1] = push * np.exp(2j * np.pi * rng.uniform())
+            pool.append((NormalizedMember(ctx, TruncSeries(p, coeffs)), jp))
+    pool.append((member(CTX, [5.0] + [0.0] * (order - 1)), JP))
+    return pool
+
+
+class TestConvolutionScanGate:
+    """The closed-form scan against the per-kernel series scan it replaced."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_kernel_weights_closed_form(self, p):
+        order = 12
+        for q, (a, b) in itertools.product((0.3, 0.9, 0.99), AB_GRID):
+            ctx, jp = QContext(p, q, 0.0), JanowskiParams(a, b)
+            w = _kernel_weights(jp, ctx, order)
+            qn = np.array([q_number(n, q) for n in range(order + 2)])
+            assert np.all(np.abs(w[2] - (qn[1:] - q * qn[:-1])) <= 1e-14)
+            for theta in 2.0 * np.pi * np.arange(64) / 64:
+                en, el = convolution_kernel(theta, jp, ctx)
+                want = (en + 1.0) * qn[1:] - q * el * qn[:-1]
+                got = w[0] + cmath.exp(-1j * theta) * w[1]
+                # relative to the two terms, which can cancel in `want`
+                scale = np.abs((en + 1.0) * qn[1:]) + np.abs(q * el * qn[:-1])
+                assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_membership_screen_pools_match_reference(self):
+        spec = SamplingSpec()
+        groups = {}
+        for seed in (1, 2, 3):
+            for f, jp in _screen_pool(seed):
+                groups.setdefault((f.ctx, jp), []).append(f)
+        assert sum(len(fs) for fs in groups.values()) == 723
+        fails = 0
+        for (ctx, jp), fs in groups.items():
+            rows = np.array([apply_L(f).coeffs for f in fs])
+            want, want_z = _reference_scan(rows, ctx, jp, 64, spec)
+            verdicts = [convolution_test(f, jp) for f in fs]
+            got = np.array([v.margin + ZERO_TOL for v in verdicts])
+            for v, m, z in zip(verdicts, want, want_z):
+                assert (v.kind is VerdictKind.CONVOLUTION_FAIL) == (m < ZERO_TOL)
+                if v.kind is VerdictKind.CONVOLUTION_FAIL:
+                    fails += 1
+                    assert v.witness == z
+            _assert_minima_close(got, want)
+            _, got_z = _convolution_scan(rows, ctx, jp, 64, spec)
+            assert np.array_equal(got_z, want_z)
+        assert fails >= 3  # at least the crafted candidate of each seed
+
+    def test_huge_coefficients_match_reference(self):
+        # |P| |Q| passes the float range here although P and Q do not
+        f = member(CTX, [1e300] * 8)
+        rows = apply_L(f).coeffs
+        got, got_z = _convolution_scan(rows, CTX, JP, 64, SamplingSpec())
+        want, want_z = _reference_scan(rows, CTX, JP, 64, SamplingSpec())
+        _assert_minima_close(got, want)
+        assert np.array_equal(got_z, want_z)
+
+    @pytest.fixture(scope="class")
+    def corpus_subset(self, corpus):
+        # L f rows of the criterion-5 corpus (order 8) at every 9th grid point
+        out = []
+        for p, q, mu, ab in GRID[::9]:
+            ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+            lam = np.concatenate([[1.0], lambda_table(ctx, 8).values])
+            out.append((ctx, jp, member_matrix(corpus, ctx, jp, order=8) * lam[None, :]))
+        return out
+
+    @pytest.mark.parametrize("theta_grid", [1, 2, 3, 8, 16])
+    def test_corpus_subset_matches_reference(self, corpus_subset, theta_grid):
+        spec = SamplingSpec(radii=tuple(np.arange(1, 10) * 0.1), angles=90)
+        for ctx, jp, rows in corpus_subset:
+            got, got_z = _convolution_scan(rows, ctx, jp, theta_grid, spec)
+            want, want_z = _reference_scan(rows, ctx, jp, theta_grid, spec)
+            assert np.array_equal(got < ZERO_TOL, want < ZERO_TOL)
+            assert np.array_equal(got_z, want_z)
+            _assert_minima_close(got, want)
 
 
 class TestConvolutionTest:

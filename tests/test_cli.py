@@ -102,6 +102,18 @@ class TestBoundsTable:
             assert float(line.split(",")[-1]) >= -1e-9
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_corpus_shorter_than_order_is_input_error(self, capsys, tmp_path, fmt):
+        corpus_path = tmp_path / "c.jsonl"
+        pinned = ("--p", "1", "--q", "0.5", "--mu", "0", "--A", "1", "--B", "-1")
+        run_cli(capsys, "generate", *pinned, "--N", "1", "--out", str(corpus_path))
+        status, out, err = run_cli(
+            capsys, "bounds-table", *pinned, "--N", "3", "--in", str(corpus_path), "--format", fmt,
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and "corpus order 1" in err and "--N 3" in err
+
+
 class TestCheck:
     def test_monomial_passes_all_three(self, capsys, tmp_path):
         path = write_series(tmp_path, "f.json", 1, [1.0])
@@ -141,6 +153,14 @@ class TestCheck:
         status, out, err = run_cli(capsys, "check", "--in", path, "--p", "1")
         assert status == 2
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_series_is_input_error(self, capsys, tmp_path):
+        # the boundary test's h expansion overflows: no verdict, no NaN margin
+        path = write_series(tmp_path, "f.json", 1, [1.0, 0.0, 0.0, 1e20])
+        status, out, err = run_cli(capsys, "check", "--in", path, "--p", "1", "--q", "0.5")
+        assert status == 2
+        assert out == "" and err.startswith("error:") and "witness z = (0.9+0j)" in err
 
     def test_csv_format(self, capsys, tmp_path):
         path = write_series(tmp_path, "f.json", 1, [1.0])
@@ -196,6 +216,13 @@ class TestFsSweep:
         )
         assert status == 0
         assert len(out.strip().splitlines()) == 4
+
+    def test_corpus_below_order_two_is_input_error(self, capsys, tmp_path):
+        corpus_path = tmp_path / "c.jsonl"
+        run_cli(capsys, "generate", "--N", "1", "--out", str(corpus_path))
+        status, out, err = run_cli(capsys, "fs-sweep", "--in", str(corpus_path))
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and "order >= 2" in err
 
     def test_bad_grid_spec(self, capsys):
         status, _, err = run_cli(capsys, "fs-sweep", "--lambda-grid", "nope")
@@ -260,3 +287,18 @@ class TestBernardi:
             capsys, "bernardi", "--in", path, "--eta", "-1", "--p", "1",
         )
         assert status == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fs-sweep",),
+        ("bounds-table", "--p", "1", "--q", "0.5", "--mu", "0", "--A", "1", "--B", "-1"),
+    ],
+)
+def test_empty_corpus_is_input_error(capsys, tmp_path, argv):
+    corpus_path = tmp_path / "empty.jsonl"
+    corpus_path.write_text("")
+    status, out, err = run_cli(capsys, *argv, "--in", str(corpus_path))
+    assert status == 2
+    assert out == "" and err.startswith("error:")
