@@ -5,18 +5,14 @@ calculators, and a Schwarz-polynomial membership oracle."""
 
 from .bounds import (
     BOUND_TOL,
-    BoundReport,
-    PsiTable,
     bernardi_coeff_bound,
     bernardi_fekete_bound,
     coeff_bound,
     coeff_bounds,
     fekete_szego_bound,
     fekete_szego_value,
-    make_report,
     member_majorant,
     psi,
-    psi_table,
     third_functional_bound,
     third_functional_value,
 )

@@ -10,7 +10,6 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +19,9 @@ from .qarith import LambdaConvention, QContext, q_number, q_numbers, q_numbers_r
 from .series import NormalizedMember
 
 __all__ = [
-    "PsiTable",
-    "BoundReport",
     "BOUND_TOL",
     "psi",
     "psi_values",
-    "psi_table",
     "coeff_bound",
     "coeff_bounds",
     "fekete_szego_bound",
@@ -34,7 +30,6 @@ __all__ = [
     "third_functional_bound",
     "bernardi_coeff_bound",
     "bernardi_fekete_bound",
-    "make_report",
     "member_majorant",
     "write_csv",
 ]
@@ -59,25 +54,6 @@ def psi_values(ctx: QContext, order: int) -> np.ndarray:
     q, p = ctx.q, ctx.p
     qn = q_numbers(max(p, order), q)
     return qn[p] / (q**p * qn[1 : order + 1])
-
-
-@dataclass(frozen=True)
-class PsiTable:
-    """psi_1 .. psi_N; positive and strictly decreasing, tending to p/n as q -> 1-."""
-
-    ctx: QContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if arr.size and (not np.all(arr > 0.0) or np.any(np.diff(arr) >= 0.0)):
-            raise ValueError("psi values must be positive and strictly decreasing")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-def psi_table(ctx: QContext, order: int) -> PsiTable:
-    return PsiTable(ctx, psi_values(ctx, order))
 
 
 def coeff_bound(n: int, ctx: QContext, jp: JanowskiParams) -> float:
@@ -181,21 +157,6 @@ def bernardi_fekete_bound(sigma: complex, bp, jp: JanowskiParams) -> float:
     e0, e1, e2 = q_numbers_real(bp.eta + ctx.p + np.arange(3.0), ctx.q).tolist()
     effective = complex(sigma) * e0 * e2 / (e1 * e1)
     return (e0 / e2) * fekete_szego_bound(effective, ctx, jp)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Observed functional value vs. its bound; slack = bound - value."""
-
-    functional_value: float
-    bound: float
-    satisfied: bool
-    slack: float
-
-
-def make_report(value: float, bound: float, tol: float = BOUND_TOL) -> BoundReport:
-    slack = bound - value
-    return BoundReport(value, bound, slack >= -tol, slack)
 
 
 def member_majorant(ctx: QContext, jp: JanowskiParams, safety: float = 1.05) -> tuple[float, float]:

@@ -187,6 +187,33 @@ def _strictly_negative(margin: float) -> float:
     return margin
 
 
+def _h_series(f: NormalizedMember, h_order: int | None, default_order: int):
+    """h = z d_q(L f) / ([p,q] L f) by series division, and its divisor [p,q] L f.
+
+    h_order None expands to max(order of L f, default_order); an overflowing
+    expansion comes back non-finite, and `_h_values` turns that into a
+    SamplePoleError.
+    """
+    ctx = f.ctx
+    lf = apply_L(f)
+    num = shifted(q_derivative(lf, ctx.q), 1)
+    den = scaled(lf, q_number(ctx.p, ctx.q))
+    if h_order is None:
+        h_order = max(lf.trunc_order, default_order)
+    return ratio(num, den, order=h_order), den
+
+
+def _h_values(h: TruncSeries, zs: np.ndarray) -> np.ndarray:
+    """h at the samples; raises SamplePoleError at the first non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = evaluate(h, zs)
+    finite = np.isfinite(hv)
+    if not finite.all():
+        bad = zs.reshape(-1)[int(np.argmin(finite.reshape(-1)))]
+        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
+    return hv
+
+
 def subordination_modulus(
     f: NormalizedMember,
     jp: JanowskiParams,
@@ -196,17 +223,11 @@ def subordination_modulus(
     """The sampled modulus |(h - 1)/(A - B h)| with h = z d_q(L f)/([p,q] L f).
 
     For a member this equals |w(z)| < 1; values are computed from the series
-    expansion of h (no truncation allowance applied here).
+    expansion of h (no truncation allowance applied here).  Raises
+    SamplePoleError when h is not finite at a sample.
     """
-    ctx = f.ctx
-    lf = apply_L(f)
-    num = shifted(q_derivative(lf, ctx.q), 1)
-    den = scaled(lf, q_number(ctx.p, ctx.q))
-    if h_order is None:
-        h_order = max(lf.trunc_order, 48)
-    h = ratio(num, den, order=h_order)
-    zs = np.asarray(z, dtype=complex)
-    hv = evaluate(h, zs)
+    h, _ = _h_series(f, h_order, 48)
+    hv = _h_values(h, np.asarray(z, dtype=complex))
     return np.abs(hv - 1.0) / np.abs(jp.A - jp.B * hv)
 
 
@@ -219,15 +240,14 @@ def _min_order_for_tau(r: float, span: float, target: float) -> int:
 def _eq7_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray, tau: float):
     """Subordination moduli |(h-1)/(A - B h)| at the samples, with the
     per-sample allowance that a truncation error of size tau can induce."""
-    hv = evaluate(h, zs)
+    hv = _h_values(h, zs)
     den = jp.A - jp.B * hv
     if np.any(np.abs(den) < 1e-14 * (1.0 + np.abs(hv))):
         bad = zs[int(np.argmin(np.abs(den)))]
         raise SamplePoleError("vanishing denominator A - B h(z)", complex(bad))
     v = np.abs(hv - 1.0) / np.abs(den)
-    finite = np.isfinite(hv) & np.isfinite(v)
-    if not finite.all():
-        bad = zs[int(np.argmin(finite))]
+    if not np.isfinite(v).all():
+        bad = zs[int(np.argmin(np.isfinite(v)))]
         raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
     guard = np.abs(den) - abs(jp.B) * tau
     # an infinite guard^2 is the intended limit: it gives a zero allowance
@@ -260,14 +280,7 @@ def boundary_sample_test(
         raise ValueError(f"radius must lie in (0, 1), got {r}")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    ctx = f.ctx
-    lf = apply_L(f)
-    num = shifted(q_derivative(lf, ctx.q), 1)
-    den = scaled(lf, q_number(ctx.p, ctx.q))
-    if h_order is None:
-        h_order = max(lf.trunc_order, _min_order_for_tau(r, jp.span, tau_target))
-    h = ratio(num, den, order=h_order)
-
+    h, den = _h_series(f, h_order, _min_order_for_tau(r, jp.span, tau_target))
     zs = r * np.exp(2j * np.pi * np.arange(m) / m)
     den_vals = evaluate(den, zs)
     den_abs = np.abs(den_vals)

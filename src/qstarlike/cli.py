@@ -26,9 +26,9 @@ from .classify import (
     verdict_to_json,
 )
 from .operators import BernardiParams, apply_L, bernardi_factors, bernardi_series, ruscheweyh_classical
-from .oracle import dump_corpus, load_corpus, member_matrix, schwarz_corpus, schwarz_to_member
+from .oracle import dump_corpus, load_corpus, member_matrix, schwarz_corpus
 from .qarith import LambdaConvention, QContext, q_number
-from .series import NormalizedMember, load_series, save_series
+from .series import NormalizedMember, TruncSeries, load_series, save_series
 
 __all__ = [
     "Q_GRID",
@@ -372,8 +372,8 @@ def _cmd_limit_compare(config: RunConfig) -> int:
     jp = _janowski(params)
     corpus = schwarz_corpus(ks=(2,), seeds_per_k=8, base_seed=params["seed"])
     worst = 0.0
-    for _, w in corpus:
-        member = schwarz_to_member(w, ctx, jp, order=params["N"])
+    for row in member_matrix(corpus, ctx, jp, order=params["N"]):
+        member = NormalizedMember(ctx, TruncSeries(ctx.p, row))
         lq = apply_L(member)
         classical = ruscheweyh_classical(member.series, ctx.mu)
         dev = np.abs(lq.coeffs - classical.coeffs) / np.maximum(np.abs(classical.coeffs), 1e-300)

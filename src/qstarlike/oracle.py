@@ -25,7 +25,7 @@ from .bounds import psi_values
 from .classify import JanowskiParams
 from .operators import lambda_table
 from .qarith import LambdaConvention, QContext
-from .series import NormalizedMember, TruncSeries, ratio
+from .series import NormalizedMember, TruncSeries
 
 __all__ = [
     "SchwarzPoly",
@@ -88,6 +88,35 @@ def random_schwarz(k: int, seed: int) -> SchwarzPoly:
     return SchwarzPoly(tuple(raw * (target / total)))
 
 
+def _schwarz_matrix(ws, order: int) -> np.ndarray:
+    # row i holds w_0 = 0, w_1 .. w_order of the i-th polynomial (zero-padded)
+    W = np.zeros((len(ws), order + 1), dtype=complex)
+    for i, w in enumerate(ws):
+        spill = min(order, len(w.coeffs))
+        W[i, 1 : spill + 1] = w.coeffs[:spill]
+    return W
+
+
+def _janowski_rows(W: np.ndarray, jp: JanowskiParams) -> np.ndarray:
+    """Row-batched series division (1 + A w)/(1 + B w): d_0 = 1, d_1 .. d_N per row.
+
+    One row-wise dot of length k per coefficient k, as `series.ratio` does
+    for a single row; an overflowing quotient comes back non-finite.
+    """
+    num = jp.A * W
+    den = jp.B * W
+    D = np.empty_like(W)
+    D[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, W.shape[1]):
+            D[:, k] = num[:, k] - np.einsum("ij,ij->i", den[:, 1 : k + 1], D[:, k - 1 :: -1])
+    return D
+
+
+def _exceeds_rotation_bound(d: np.ndarray, jp: JanowskiParams) -> bool:
+    return bool(d.size and np.max(np.abs(d)) > jp.span * (1.0 + 1e-9) + 1e-9)
+
+
 @dataclass(frozen=True)
 class JanowskiExpansion:
     """Coefficients d_1 .. d_N of (1 + A w)/(1 + B w) - 1; each |d_n| <= A - B."""
@@ -97,7 +126,7 @@ class JanowskiExpansion:
 
     def __post_init__(self) -> None:
         arr = np.array(self.d, dtype=complex, copy=True).reshape(-1)
-        if arr.size and np.max(np.abs(arr)) > self.jp.span * (1.0 + 1e-9) + 1e-9:
+        if _exceeds_rotation_bound(arr, self.jp):
             raise ValueError("rotation-lemma bound |d_n| <= A - B violated")
         arr.setflags(write=False)
         object.__setattr__(self, "d", arr)
@@ -107,16 +136,38 @@ def janowski_expand(w: SchwarzPoly, jp: JanowskiParams, order: int) -> JanowskiE
     """Taylor coefficients of (1 + A w(z))/(1 + B w(z)) to the given order.
 
     First two satisfy d_1 = (A-B) w_1 and d_2 = (A-B)(w_2 - B w_1^2).
+    One row of the division `member_matrix` runs for a whole corpus.
     """
-    wc = np.zeros(order + 1, dtype=complex)
-    spill = min(order, len(w.coeffs))
-    wc[1 : spill + 1] = w.coeffs[:spill]
-    num = wc * jp.A
-    den = wc * jp.B
-    num[0] = 1.0
-    den[0] = 1.0
-    h = ratio(TruncSeries(0, num), TruncSeries(0, den))
-    return JanowskiExpansion(h.coeffs[1:], jp)
+    return JanowskiExpansion(_janowski_rows(_schwarz_matrix([w], order), jp)[0, 1:], jp)
+
+
+def member_matrix(
+    corpus: list[tuple[int, SchwarzPoly]],
+    ctx: QContext,
+    jp: JanowskiParams,
+    order: int = 8,
+) -> np.ndarray:
+    """Member coefficients a_p .. a_(p+order), one row per corpus entry.
+
+    Equating z^(n+p) coefficients of the subordination identity gives
+        Lambda_(n+p) ([n+p,q] - [p,q]) a_(n+p)
+            = [p,q] (d_n + sum_(0<k<n) Lambda_(k+p) a_(k+p) d_(n-k)),
+    so the coefficients c_n = Lambda_(n+p) a_(n+p) of L f obey
+    c_n = psi_n sum_(k<n) c_k d_(n-k) with c_0 = 1; psi_n > 0, so the
+    recursion is total.  All rows are solved at once, one row-wise dot per
+    n, and a = c / Lambda at the end.  A row does not depend on the other
+    rows, so `schwarz_to_member` is this solver on one row.
+    """
+    D = _janowski_rows(_schwarz_matrix([w for _, w in corpus], order), jp)
+    if _exceeds_rotation_bound(D[:, 1:], jp):
+        raise ValueError("rotation-lemma bound |d_n| <= A - B violated")
+    psis = psi_values(ctx, order).tolist()
+    lam_a = np.empty_like(D)
+    lam_a[:, 0] = 1.0
+    for n in range(1, order + 1):
+        lam_a[:, n] = psis[n - 1] * np.einsum("ij,ij->i", lam_a[:, :n], D[:, n:0:-1])
+    lam_a[:, 1:] /= lambda_table(ctx, order).values
+    return lam_a
 
 
 def schwarz_to_member(
@@ -124,24 +175,10 @@ def schwarz_to_member(
 ) -> NormalizedMember:
     """Solve the subordination recursion for a_(p+1) .. a_(p+order).
 
-    Equating z^(n+p) coefficients gives
-        Lambda_(n+p) ([n+p,q] - [p,q]) a_(n+p)
-            = [p,q] (d_n + sum_(k<n) Lambda_(k+p) a_(k+p) d_(n-k)),
-    i.e. a_(n+p) = (psi_n / Lambda_(n+p)) (d_n + ...); the divisor is always
-    positive, so the recursion is total.  w = 0 returns z^p; w(z) = z attains
-    the first coefficient bound exactly.
+    The one-row case of `member_matrix`, bit for bit.  w = 0 returns z^p;
+    w(z) = z attains the first coefficient bound exactly.
     """
-    d = janowski_expand(w, jp, order).d
-    lam = lambda_table(ctx, order).values
-    psis = psi_values(ctx, order)
-    a = np.empty(order + 1, dtype=complex)
-    a[0] = 1.0
-    for n in range(1, order + 1):
-        acc = d[n - 1]
-        for k in range(1, n):
-            acc += lam[k - 1] * a[k] * d[n - k - 1]
-        a[n] = psis[n - 1] / lam[n - 1] * acc
-    return NormalizedMember(ctx, TruncSeries(ctx.p, a))
+    return NormalizedMember(ctx, TruncSeries(ctx.p, member_matrix([(0, w)], ctx, jp, order)[0]))
 
 
 def lemma2_check(w: SchwarzPoly, lam: complex) -> tuple[float, float, float]:
@@ -175,17 +212,6 @@ def schwarz_corpus(
     return out
 
 
-def member_matrix(
-    corpus: list[tuple[int, SchwarzPoly]],
-    ctx: QContext,
-    jp: JanowskiParams,
-    order: int = 8,
-) -> np.ndarray:
-    """Stacked member coefficients (one row per corpus entry, columns a_p .. a_(p+order))."""
-    rows = [schwarz_to_member(w, ctx, jp, order).series.coeffs for _, w in corpus]
-    return np.array(rows)
-
-
 def dump_corpus(
     dest,
     corpus: list[tuple[int, SchwarzPoly]],
@@ -194,14 +220,14 @@ def dump_corpus(
     order: int = 8,
 ) -> None:
     """JSON-lines dump: {"seed": int, "w": [[re, im], ...], "coeffs": [[re, im], ...]}."""
+    coeffs = member_matrix(corpus, ctx, jp, order)
 
     def _write(fh):
-        for seed, w in corpus:
-            member = schwarz_to_member(w, ctx, jp, order)
+        for (seed, w), row in zip(corpus, coeffs):
             obj = {
                 "seed": seed,
                 "w": [[c.real, c.imag] for c in w.coeffs],
-                "coeffs": [[c.real, c.imag] for c in member.series.coeffs],
+                "coeffs": [[c.real, c.imag] for c in row],
             }
             fh.write(json.dumps(obj))
             fh.write("\n")
@@ -279,6 +305,33 @@ def _mp_ratio(fc, gc, order):
     return h
 
 
+def _mp_members(wcs, ctx: QContext, jp: JanowskiParams, order: int):
+    """Member coefficients a_p .. a_(p+order), one list per row of Schwarz
+    coefficients w_1 .. w_order in wcs, and Lambda_1 .. Lambda_order, at the
+    current mpmath precision."""
+    q = mpmath.mpf(ctx.q)
+    A = mpmath.mpf(jp.A)
+    B = mpmath.mpf(jp.B)
+    lam = [_mp_lambda(n, ctx, q) for n in range(1, order + 1)]
+    qp = _mp_qnum(ctx.p, q)
+    rows = []
+    for wc in wcs:
+        # d-coefficients of (1 + A w)/(1 + B w)
+        num = [mpmath.mpc(1)] + [A * c for c in wc]
+        den = [mpmath.mpc(1)] + [B * c for c in wc]
+        d = _mp_ratio(num, den, order)[1:]
+
+        a = [mpmath.mpc(1)]
+        for n in range(1, order + 1):
+            acc = d[n - 1]
+            for k in range(1, n):
+                acc += lam[k - 1] * a[k] * d[n - k - 1]
+            divisor = lam[n - 1] * (_mp_qnum(n + ctx.p, q) - qp)
+            a.append(qp * acc / divisor)
+        rows.append(a)
+    return rows, lam
+
+
 def subordination_roundtrip_error(
     w: SchwarzPoly,
     ctx: QContext,
@@ -300,21 +353,8 @@ def subordination_roundtrip_error(
         A = mpmath.mpf(jp.A)
         B = mpmath.mpf(jp.B)
         wc = [mpmath.mpc(c) for c in w.padded(order)[:order]]
-
-        # d-coefficients of (1 + A w)/(1 + B w)
-        num = [mpmath.mpc(1)] + [A * c for c in wc]
-        den = [mpmath.mpc(1)] + [B * c for c in wc]
-        d = _mp_ratio(num, den, order)[1:]
-
-        lam = [_mp_lambda(n, ctx, q) for n in range(1, order + 1)]
+        (a,), lam = _mp_members([wc], ctx, jp, order)
         qp = _mp_qnum(ctx.p, q)
-        a = [mpmath.mpc(1)]
-        for n in range(1, order + 1):
-            acc = d[n - 1]
-            for k in range(1, n):
-                acc += lam[k - 1] * a[k] * d[n - k - 1]
-            divisor = lam[n - 1] * (_mp_qnum(n + ctx.p, q) - qp)
-            a.append(qp * acc / divisor)
 
         # h = z d_q(L f) / ([p,q] L f) via series division
         lf = [a[0]] + [lam[n - 1] * a[n] for n in range(1, order + 1)]

@@ -122,6 +122,12 @@ def ratio(f: TruncSeries, g: TruncSeries, order: int | None = None) -> TruncSeri
     `order` extends the division beyond that; this is only meaningful when
     both operands are exact polynomials (no unknown tail), in which case the
     quotient's coefficients are exact to any order.
+
+    The solve runs with numpy's overflow and invalid-value warnings off: an
+    overflowing quotient comes back with non-finite coefficients instead,
+    which both consumers of the boundary-test quotient h
+    (`classify.boundary_sample_test`, `classify.subordination_modulus`) turn
+    into a SamplePoleError.
     """
     if g.coeffs[0] == 0.0:
         raise ZeroDivisionError("denominator has zero leading coefficient")
@@ -135,11 +141,12 @@ def ratio(f: TruncSeries, g: TruncSeries, order: int | None = None) -> TruncSeri
     gc[: min(order + 1, g.coeffs.size)] = g.coeffs[: order + 1]
     h = np.empty(order + 1, dtype=COMPLEX_DTYPE)
     g0 = gc[0]
-    for k in range(order + 1):
-        acc = fc[k]
-        if k:
-            acc = acc - np.dot(gc[1 : k + 1], h[k - 1 :: -1])
-        h[k] = acc / g0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(order + 1):
+            acc = fc[k]
+            if k:
+                acc = acc - np.dot(gc[1 : k + 1], h[k - 1 :: -1])
+            h[k] = acc / g0
     return TruncSeries(f.lead - g.lead, h)
 
 

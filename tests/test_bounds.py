@@ -21,10 +21,8 @@ from qstarlike import (
     fekete_szego_bound,
     fekete_szego_value,
     lambda_coeff,
-    make_report,
     member_majorant,
     psi,
-    psi_table,
     q_number,
     q_number_real,
     schwarz_to_member,
@@ -110,9 +108,9 @@ class TestPsi:
     def test_table_decreasing_positive(self):
         for p in (1, 3):
             for q in (0.3, 0.9, 0.99):
-                table = psi_table(QContext(p, q, 0.0), 12)
-                assert np.all(table.values > 0)
-                assert np.all(np.diff(table.values) < 0)
+                values = psi_values(QContext(p, q, 0.0), 12)
+                assert np.all(values > 0)
+                assert np.all(np.diff(values) < 0)
 
     def test_values_bit_identical_to_scalar(self):
         for ctx, _ in TABLE_GRID:
@@ -342,20 +340,6 @@ class TestMajorant:
             f = schwarz_to_member(SchwarzPoly((0.4, 0.2)), ctx, jp, order=12)
             bound = tail_bound(f.series, 0.5, coeff=c, growth=s)
             assert 0 < bound < 1e-3
-
-
-class TestReports:
-    def test_satisfied(self):
-        r = make_report(1.0, 1.5)
-        assert r.satisfied and r.slack == pytest.approx(0.5)
-
-    def test_tolerated_equality(self):
-        r = make_report(1.0 + 1e-12, 1.0)
-        assert r.satisfied
-
-    def test_violation(self):
-        r = make_report(2.0, 1.0)
-        assert not r.satisfied and r.slack == -1.0
 
 
 class TestCsv:

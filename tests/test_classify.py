@@ -193,14 +193,32 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_sample_test(member(CTX, []), JP, r=1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_expansion_is_a_sample_pole(self):
         # h of z + 1e20 z^4 overflows in the series division; the verdict must
-        # not be a Fail with margin NaN
+        # not be a Fail with margin NaN, and no RuntimeWarning escapes
         f = member(CTX, [0.0, 0.0, 1e20])
-        with pytest.raises(SamplePoleError) as info:
-            boundary_sample_test(f, JP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SamplePoleError) as info:
+                boundary_sample_test(f, JP)
         assert info.value.witness == 0.9
+
+    def test_overflow_at_1e13_is_quiet(self):
+        # the smallest z + c z^4 seen overflowing inside the division of h
+        f = member(CTX, [0.0, 0.0, 1e13])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SamplePoleError):
+                boundary_sample_test(f, JP)
+
+    def test_modulus_of_overflowing_expansion_is_a_sample_pole(self):
+        # subordination_modulus builds the same h and must not return NaN
+        f = member(CTX, [0.0, 0.0, 1e20])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SamplePoleError) as info:
+                subordination_modulus(f, JP, np.array([0.5, 0.9j]))
+        assert info.value.witness == 0.5
 
     def test_infinite_guard_gives_zero_allowance_without_warning(self):
         # |A - B h| squares past the float range at z + 1e8 z^4

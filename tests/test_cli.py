@@ -154,7 +154,6 @@ class TestCheck:
         assert status == 2
         assert out == "" and err.startswith("error:")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_overflowing_series_is_input_error(self, capsys, tmp_path):
         # the boundary test's h expansion overflows: no verdict, no NaN margin
         path = write_series(tmp_path, "f.json", 1, [1.0, 0.0, 0.0, 1e20])

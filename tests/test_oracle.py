@@ -1,5 +1,9 @@
 import io
+import itertools
+import operator
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +29,10 @@ from qstarlike import (
     schwarz_to_member,
     subordination_roundtrip_error,
 )
-from qstarlike.operators import apply_L, q_derivative
+from qstarlike.bounds import psi_values
+from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
+from qstarlike.operators import apply_L, lambda_table, q_derivative
+from qstarlike.oracle import _janowski_rows, _mp_members, _schwarz_matrix
 from qstarlike.qarith import q_number
 from qstarlike.series import scaled, shifted
 
@@ -33,6 +40,48 @@ CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
 
 AB_CASES = [(1.0, -1.0), (1.0, 0.0), (0.5, -0.5), (0.75, -1.0)]
+
+GRID = list(itertools.product(P_GRID, Q_GRID, MU_GRID, AB_GRID))
+
+#: The four corners of the round-trip tests: steep, mid, near-classical, mixed.
+CORNERS = [
+    (QContext(1, 0.3, 0.0), (1.0, -1.0)),
+    (QContext(2, 0.5, 1.0), (1.0, 0.0)),
+    (QContext(3, 0.99, 2.5), (0.5, -0.5)),
+    (QContext(1, 0.9, 0.0), (0.75, -1.0)),
+]
+
+
+def reference_janowski(w, jp, order):
+    """d_0 .. d_order of (1 + A w)/(1 + B w) by the scalar series division
+    d_k = A w_k - sum_(j=1..k) (B w_j) d_(k-j), summed left to right."""
+    wc = [0j] * (order + 1)
+    for j, c in enumerate(w.coeffs[:order], start=1):
+        wc[j] = complex(c)
+    neg_bw = [-jp.B * c for c in wc]
+    d = [1 + 0j]
+    for k in range(1, order + 1):
+        d.append(sum(map(operator.mul, neg_bw[1 : k + 1], reversed(d)), jp.A * wc[k]))
+    return d
+
+
+def reference_recursion(d, lam, psis):
+    """The per-row double loop that member_matrix replaced:
+    a_n = (psi_n / Lambda_n)(d_n + sum_(0<k<n) (Lambda_k a_k) d_(n-k)),
+    summed left to right from d_n in scalar arithmetic."""
+    order = len(lam)
+    a = [1 + 0j]
+    lam_a = [1 + 0j]
+    for n in range(1, order + 1):
+        acc = sum(map(operator.mul, lam_a[1:n], reversed(d[1:n])), d[n])
+        a.append(psis[n - 1] / lam[n - 1] * acc)
+        lam_a.append(lam[n - 1] * a[n])
+    return a
+
+
+def row_relative_gap(M, ref):
+    """max_j |M_ij - ref_ij| / max_j |ref_ij|, the worst over rows i."""
+    return float(np.max(np.max(np.abs(M - ref), axis=1) / np.max(np.abs(ref), axis=1)))
 
 
 class TestSchwarzPoly:
@@ -147,6 +196,75 @@ class TestRecursion:
                     )
                     assert f.series.coeffs[1] == pytest.approx(a1, abs=1e-10)
                     assert f.series.coeffs[2] == pytest.approx(a2, abs=1e-10)
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("order", [8, 32])
+    def test_matches_per_row_reference_over_grid(self, corpus, order):
+        # the row-batched division and recursion sum in another order than
+        # the per-row loop, so agreement is to rounding, not bit for bit
+        d_rows = {
+            ab: [reference_janowski(w, JanowskiParams(*ab), order) for _, w in corpus]
+            for ab in AB_GRID
+        }
+        worst = 0.0
+        for p, q, mu, ab in GRID:
+            ctx = QContext(p, q, mu)
+            M = member_matrix(corpus, ctx, JanowskiParams(*ab), order=order)
+            lam = lambda_table(ctx, order).values.tolist()
+            psis = psi_values(ctx, order).tolist()
+            ref = np.array([reference_recursion(d, lam, psis) for d in d_rows[ab]])
+            worst = max(worst, row_relative_gap(M, ref))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("order", [2, 8, 32, 128])
+    def test_one_row_wrapper_is_the_matrix_row(self, corpus, order):
+        rows = range(0, len(corpus), 23) if order < 128 else (0, 77, 199)
+        grid = GRID if order < 128 else GRID[::17]
+        for p, q, mu, ab in grid:
+            ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+            M = member_matrix(corpus, ctx, jp, order=order)
+            for i in rows:
+                f = schwarz_to_member(corpus[i][1], ctx, jp, order=order)
+                assert f.series.coeffs.tolist() == M[i].tolist()
+
+    def test_janowski_expand_is_the_batched_division(self, corpus):
+        for ab in AB_CASES:
+            jp = JanowskiParams(*ab)
+            D = _janowski_rows(_schwarz_matrix([w for _, w in corpus], 16), jp)
+            for i in range(0, len(corpus), 19):
+                assert janowski_expand(corpus[i][1], jp, 16).d.tolist() == D[i, 1:].tolist()
+
+    def test_drift_from_mpmath_at_order_64(self):
+        order = 64
+        seeds = [(1 + s % 4, 500 + s) for s in range(10)]
+        worst = 0.0
+        for ctx, ab in CORNERS:
+            jp = JanowskiParams(*ab)
+            corpus = [(seed, random_schwarz(k, seed)) for k, seed in seeds]
+            M = member_matrix(corpus, ctx, jp, order=order)
+            with mpmath.workdps(50):
+                wcs = [[mpmath.mpc(c) for c in w.padded(order)[:order]] for _, w in corpus]
+                rows, _ = _mp_members(wcs, ctx, jp, order)
+            ref = np.array([[complex(c) for c in a] for a in rows])
+            worst = max(worst, row_relative_gap(M, ref))
+        assert worst <= 1e-13
+
+    def test_empty_corpus(self):
+        assert member_matrix([], CTX, JP, order=4).shape == (0, 5)
+
+    def test_order_zero_is_the_monomial(self):
+        f = schwarz_to_member(SchwarzPoly((0.5,)), CTX, JP, order=0)
+        assert f.series.coeffs.tolist() == [1.0]
+
+    def test_division_quiet_on_overflow(self):
+        # the row-batched division runs without warnings; an overflowing
+        # quotient comes back non-finite
+        W = np.array([[0.0, 1e300, 1e300, 1e300]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            D = _janowski_rows(W, JanowskiParams(1.0, -1.0))
+        assert not np.all(np.isfinite(D))
 
 
 class TestLemma2:

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,14 @@ class TestRatio:
     def test_extended_order_on_exact_polynomials(self):
         geo = ratio(TruncSeries(0, [1.0]), TruncSeries(0, [1, -0.5]), order=20)
         assert np.allclose(geo.coeffs, 0.5 ** np.arange(21))
+
+    def test_overflowing_quotient_is_non_finite_and_quiet(self):
+        # 1/(1 - 1e200 z) has coefficients 1e200^k: past k = 1 they overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            h = ratio(TruncSeries(0, [1.0]), TruncSeries(0, [1.0, -1e200]), order=4)
+        assert np.isfinite(h.coeffs[:2]).all()
+        assert not np.isfinite(h.coeffs[2:]).any()
 
 
 class TestEvaluate:
