@@ -7,9 +7,7 @@ from a concrete series (usually an oracle-generated member).
 from __future__ import annotations
 
 import csv
-import io
 import math
-import os
 
 import numpy as np
 
@@ -189,24 +187,15 @@ def member_majorant(ctx: QContext, jp: JanowskiParams, safety: float = 1.05) -> 
     return c, s
 
 
-def write_csv(rows: list[dict], dest, columns: list[str]) -> None:
-    """CSV with '.' decimal separator and 15 significant digits, unconditionally."""
+def write_csv(rows: list[dict], fh, columns: list[str]) -> None:
+    """CSV to the text stream fh with '.' decimal separator and 15 significant digits."""
 
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.15g}"
         return v
 
-    def _write(fh):
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: fmt(row[k]) for k in columns})
-
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
-    elif isinstance(dest, io.TextIOBase) or hasattr(dest, "write"):
-        _write(dest)
-    else:
-        raise TypeError(f"cannot write CSV to {type(dest)!r}")
+    writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: fmt(row[k]) for k in columns})

@@ -141,31 +141,36 @@ def q_numbers_real(xs, q: float) -> np.ndarray:
     return out
 
 
+def _left_product(factors: np.ndarray) -> float:
+    """factors[0] * factors[1] * ... in that order (accumulate never reorders), 1 if empty."""
+    return float(np.multiply.accumulate(factors)[-1]) if factors.size else 1.0
+
+
 def q_factorial(n: int, q: float) -> float:
     """[n, q]! = [1, q] [2, q] ... [n, q], with [0, q]! = 1.
 
     Defined only for n = 0 or positive integers; anything else is rejected.
+    A left fold over the q-number table, so it equals the running product
+    of q_number(j, q) bit for bit.
     """
     _check_q(q)
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    result = 1.0
-    for j in range(1, int(n) + 1):
-        result *= q_number(j, q)
-    return result
+    return _left_product(q_numbers(int(n), q)[1:])
 
 
 def q_pochhammer(x: float, n: int, q: float) -> float:
-    """[x, q]_n = [x, q] [x+1, q] ... [x+n-1, q] for x > 0, with empty product 1."""
+    """[x, q]_n = [x, q] [x+1, q] ... [x+n-1, q] for x > 0, with empty product 1.
+
+    A left fold over q_numbers_real, so it equals the running product of
+    q_number_real(x + j, q) bit for bit.
+    """
     _check_q(q)
     if n != int(n) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if float(x) <= 0.0:
         raise ValueError(f"x must be positive, got {x}")
-    result = 1.0
-    for j in range(int(n)):
-        result *= q_number_real(float(x) + j, q)
-    return result
+    return _left_product(q_numbers_real(float(x) + np.arange(int(n)), q))
 
 
 def q_gamma_int(n: int, q: float) -> float:

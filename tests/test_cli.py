@@ -1,5 +1,6 @@
 import json
 
+import mpmath as mp
 import pytest
 
 from qstarlike import (
@@ -256,6 +257,26 @@ class TestLimitCompare:
         assert payload["max_rel_deviation"] < 1e-4
         assert payload["q"] == pytest.approx(1 - 1e-6)
 
+    def test_deviation_matches_mpmath(self, capsys):
+        status, out, _ = run_cli(capsys, "limit-compare", "--p", "2", "--mu", "2.5")
+        assert status == 0
+        # max over n of |Lambda_n - c_n| / c_n, with Lambda_n = prod [mu+j,q]/[j,q]
+        # and c_n = prod (mu+j)/j, j = 1 .. n, at 40 digits
+        with mp.workdps(40):
+            q, mu = mp.mpf(1.0 - 1e-6), mp.mpf(2.5)
+            lam = classical = mp.mpf(1)
+            reference = mp.mpf(0)
+            for j in range(1, 9):
+                lam *= (1 - q ** (mu + j)) / (1 - q**j)
+                classical *= (mu + j) / j
+                reference = max(reference, abs(lam - classical) / classical)
+        assert json.loads(out)["max_rel_deviation"] == pytest.approx(float(reference), rel=1e-9)
+
+    def test_exactly_zero_at_mu_zero(self, capsys):
+        status, out, _ = run_cli(capsys, "limit-compare", "--p", "3", "--mu", "0", "--N", "64")
+        assert status == 0
+        assert json.loads(out)["max_rel_deviation"] == 0.0
+
 
 class TestBernardi:
     def test_transform_series(self, capsys, tmp_path):
@@ -301,3 +322,23 @@ def test_empty_corpus_is_input_error(capsys, tmp_path, argv):
     status, out, err = run_cli(capsys, *argv, "--in", str(corpus_path))
     assert status == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qnum", "--n", "3", "--p", "2"),
+        ("bounds-table", "--r", "0.5"),
+        ("check", "--N", "4"),
+        ("generate", "--format", "json"),
+        ("fs-sweep", "--N", "4"),
+        ("limit-compare", "--seed", "3"),
+        ("bernardi", "--mu", "1"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err

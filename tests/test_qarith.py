@@ -55,7 +55,31 @@ class TestQNumber:
         assert q_number_real(3.5, 1.0 - 1e-8) == pytest.approx(3.5, abs=1e-6)
 
 
+def reference_q_factorial(n, q):
+    """The running product of scalar q-numbers that q_factorial folds."""
+    result = 1.0
+    for j in range(1, n + 1):
+        result *= q_number(j, q)
+    return result
+
+
+def reference_q_pochhammer(x, n, q):
+    """The running product of scalar real q-numbers that q_pochhammer folds."""
+    result = 1.0
+    for j in range(n):
+        result *= q_number_real(float(x) + j, q)
+    return result
+
+
+FOLD_QS = (0.3, 0.5, 0.9, 0.99, 1.0 - 1e-6)
+
+
 class TestQFactorial:
+    @pytest.mark.parametrize("q", FOLD_QS)
+    def test_bit_identical_to_scalar_product(self, q):
+        for n in range(65):
+            assert q_factorial(n, q) == reference_q_factorial(n, q)
+
     def test_empty(self):
         assert q_factorial(0, 0.7) == 1.0
 
@@ -76,6 +100,12 @@ class TestQFactorial:
 
 
 class TestQPochhammer:
+    @pytest.mark.parametrize("q", FOLD_QS)
+    @pytest.mark.parametrize("x", [0.5, 1, 2.5, 3])
+    def test_bit_identical_to_scalar_product(self, q, x):
+        for n in range(65):
+            assert q_pochhammer(x, n, q) == reference_q_pochhammer(x, n, q)
+
     def test_empty(self):
         assert q_pochhammer(2.5, 0, 0.4) == 1.0
 
