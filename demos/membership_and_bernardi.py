@@ -36,7 +36,7 @@ def show(name, member, r=0.5):
     for label, verdict in (
         ("sufficiency", sufficiency_test(member, jp)),
         ("boundary   ", boundary_sample_test(member, jp, r=r, m=360)),
-        ("convolution", convolution_test(member, jp, theta_grid=32)),
+        ("convolution", convolution_test(member, jp)),
     ):
         print(f"   {label}  {verdict_to_json(verdict)}")
 

@@ -17,7 +17,6 @@ from .bounds import (
     third_functional_value,
 )
 from .classify import (
-    DEGENERATE_KERNEL,
     ZERO_TOL,
     JanowskiParams,
     MembershipVerdict,
@@ -25,7 +24,6 @@ from .classify import (
     SamplingSpec,
     VerdictKind,
     boundary_sample_test,
-    convolution_kernel,
     convolution_test,
     corollary_reduction,
     janowski_value,

@@ -15,7 +15,6 @@ sufficiency Pass => boundary Pass => convolution Pass.
 """
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -33,12 +32,10 @@ __all__ = [
     "MembershipVerdict",
     "SamplePoleError",
     "SamplingSpec",
-    "DEGENERATE_KERNEL",
     "janowski_value",
     "sufficiency_test",
     "corollary_reduction",
     "boundary_sample_test",
-    "convolution_kernel",
     "convolution_test",
     "subordination_modulus",
     "verdict_to_json",
@@ -250,8 +247,9 @@ def _eq7_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray, tau: float):
         bad = zs[int(np.argmin(np.isfinite(v)))]
         raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
     guard = np.abs(den) - abs(jp.B) * tau
-    # an infinite guard^2 is the intended limit: it gives a zero allowance
-    with np.errstate(over="ignore"):
+    # guard^2 overflowing to inf (a zero allowance) or underflowing to 0 (an
+    # infinite one, clamped below) are the intended limits
+    with np.errstate(over="ignore", divide="ignore"):
         allowance = np.where(guard > 0.0, jp.span * tau / np.maximum(guard, 1e-300) ** 2, np.inf)
     return v, np.minimum(allowance, _BIG_ALLOWANCE)
 
@@ -304,27 +302,6 @@ def boundary_sample_test(
     return MembershipVerdict(VerdictKind.BOUNDARY_FAIL, _strictly_negative(1.0 - max_hi), complex(zs[j]))
 
 
-#: The theta-independent degenerate kernel pair, always tested in addition
-#: to the theta family.
-DEGENERATE_KERNEL: tuple[complex, complex] = (0.0 + 0.0j, 1.0 + 0.0j)
-
-
-def _kernel_denominator(jp: JanowskiParams, ctx: QContext) -> tuple[float, float]:
-    # [p,q] and d = [p,q] A - B, the common denominator of every kernel pair
-    qp = q_number(ctx.p, ctx.q)
-    d = qp * jp.A - jp.B
-    if d == 0.0:
-        raise ValueError("kernel undefined: [p,q] A = B")
-    return qp, d
-
-
-def convolution_kernel(theta: float, jp: JanowskiParams, ctx: QContext) -> tuple[complex, complex]:
-    """The pair (N_theta, L_theta) parameterizing the convolution functional."""
-    qp, d = _kernel_denominator(jp, ctx)
-    phase = cmath.exp(-1j * theta)
-    return (qp - 1.0) * phase / d, (phase + qp * jp.A) / d
-
-
 @dataclass(frozen=True)
 class SamplingSpec:
     """Disk sampling grid for the convolution scan: circles radii x angles."""
@@ -343,102 +320,67 @@ class SamplingSpec:
         return (np.asarray(self.radii)[:, None] * circle[None, :]).ravel()
 
 
-def _kernel_weights(jp: JanowskiParams, ctx: QContext, order: int) -> np.ndarray:
-    """Rows wP, wQ and 1 over offsets 0..order.
+def _membership_sums(rows: np.ndarray, ctx: QContext, jp: JanowskiParams, zs: np.ndarray):
+    """P, Q and D at the samples zs, for each coefficient row c of L f.
 
-    With e = e^(-i theta), the pair of convolution_kernel puts
-    (N+1)[n+1,q] - qL[n,q] = wP_n + e wQ_n at offset n; the degenerate pair
-    (0, 1) puts [n+1,q] - q[n,q] = 1 there.
+    D = sum c_k z^k is L f / z^p and E = sum [k+p,q] c_k z^k is
+    z d_q(L f) / z^p; P = E - [p,q] D and Q = B E - A [p,q] D.  So
+    P + e^(i theta) Q carries (1 + B e^(i theta))[k+p,q] - [p,q](1 + A e^(i theta))
+    at z^k: it is (1/z^p)(L f * k_theta) for the membership kernel k_theta.
     """
-    qp, d = _kernel_denominator(jp, ctx)
-    q = ctx.q
-    qn = q_numbers(order + 1, q)
-    return np.stack(
-        [
-            qn[1:] - (q * qp * jp.A / d) * qn[:-1],
-            ((qp - 1.0) * qn[1:] - q * qn[:-1]) / d,
-            np.ones(order + 1),
-        ]
-    )
+    order = rows.shape[1] - 1
+    qn = q_numbers(ctx.p + order, ctx.q)
+    qp = qn[ctx.p]
+    # row by row: complex ** and multiply.accumulate are several times slower
+    powers = np.empty((order + 1, zs.size), dtype=complex)
+    powers[0] = 1.0
+    for k in range(order):
+        np.multiply(powers[k], zs, out=powers[k + 1])
+    D, E = np.split(np.concatenate([rows, rows * qn[ctx.p :]]) @ powers, 2)
+    return E - qp * D, jp.B * E - (jp.A * qp) * D, D
 
 
 def _convolution_scan(
     coeff_rows: np.ndarray,
     ctx: QContext,
     jp: JanowskiParams,
-    theta_grid: int,
     zspec: SamplingSpec,
 ):
-    """Min |functional| over the (theta, z) grid for each coefficient row of L f.
+    """Min over the sampled disk of min(||P| - |Q||, |D|), per coefficient row of L f.
 
-    The functional of angle theta is e^(i theta)(B - [p,q]A) z^(p-1) times
-    P(z) + e^(-i theta) Q(z), where P and Q are the row summed against wP and
-    wQ of _kernel_weights; the degenerate pair gives the plain sum D(z).  The
-    modulus depends on theta only through cos(theta - theta*) with
-    theta* = arg(-Q conj(P)), so at each z the grid minimum lies at one of
-    the two grid angles bracketing theta*, and only those two are evaluated.
-    Vectorized across rows so corpus sweeps share the power matrix;
-    convolution_test is the single-row wrapper.
+    ||P| - |Q|| is the exact minimum over theta of |P + e^(i theta) Q|.  The
+    theta family misses a zero of D = L f / z^p whenever B > -1 (there it is
+    E (1 + B e^(i theta))), so |D| is scanned alongside.  Vectorized across
+    rows so corpus sweeps share the power matrix; convolution_test is the
+    single-row wrapper.
     """
-    if theta_grid < 1:
-        raise ValueError("need at least one theta sample")
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
-    n_rows, order = rows.shape[0], rows.shape[1] - 1
-    _, d = _kernel_denominator(jp, ctx)
-    weights = _kernel_weights(jp, ctx, order)
-
     zs = zspec.points()
-    # row by row: complex ** and multiply.accumulate are several times slower
-    powers = np.empty((order + 1, zs.size), dtype=complex)
-    powers[0] = 1.0
-    for k in range(order):
-        np.multiply(powers[k], zs, out=powers[k + 1])
-    sums = (weights[:, None, :] * rows[None, :, :]).reshape(3 * n_rows, order + 1) @ powers
-    P, Q, D = sums.reshape(3, n_rows, zs.size)
-    gain = abs(d) * np.abs(zs) ** (ctx.p - 1)
-
-    phases = np.exp(-2j * np.pi * np.arange(theta_grid) / theta_grid)
-    # theta* = arg(Q) - arg(P) + pi; the product Q conj(P) could overflow
-    turns = (np.angle(Q) - np.angle(P)) / (2.0 * np.pi) + 0.5
-    below = np.floor(turns * theta_grid).astype(int) % theta_grid
-    above = (below + 1) % theta_grid
-    grid = np.minimum(np.abs(P + phases[below] * Q), np.abs(P + phases[above] * Q)) * gain
-    degenerate = np.abs(D) * gain
-
-    # ties go to the theta grid, which precedes the degenerate pair
-    at = np.arange(n_rows)
-    g_idx = np.argmin(grid, axis=1)
-    d_idx = np.argmin(degenerate, axis=1)
-    g_min, d_min = grid[at, g_idx], degenerate[at, d_idx]
-    use_degenerate = d_min < g_min
-    best = np.where(use_degenerate, d_min, g_min)
-    witness = zs[np.where(use_degenerate, d_idx, g_idx)]
-    return best, witness
+    P, Q, D = _membership_sums(rows, ctx, jp, zs)
+    values = np.minimum(np.abs(np.abs(P) - np.abs(Q)), np.abs(D))
+    idx = np.argmin(values, axis=1)
+    return values[np.arange(rows.shape[0]), idx], zs[idx]
 
 
 def convolution_test(
     f: NormalizedMember,
     jp: JanowskiParams,
-    theta_grid: int = 64,
     zspec: SamplingSpec | None = None,
 ) -> MembershipVerdict:
-    """Scan the convolution functionals for zeros inside the sampled disk.
+    """Scan the membership convolution functionals for zeros inside the sampled disk.
 
-    For each of theta_grid equispaced angles (plus the degenerate pair N=0,
-    L=1) the kernel ((N+1) z^p - q L z^(p+1)) / ((1-z)(1-qz)) is
-    Hadamard-multiplied with L f, divided by z and scaled, and the minimum
-    |value| over the (theta, z) grid is recorded.  The kernel never becomes
-    a series: its coefficient (N+1)[n+1,q] - qL[n,q] is affine in
-    e^(-i theta) with closed-form weights over the q-number table, so each
-    functional is P(z) + e^(-i theta) Q(z) from two theta-free sums, and at
-    each z only the two grid angles bracketing the continuous minimiser are
-    evaluated.  That gives the grid minimum (not the exact minimum over
-    theta).  Any minimum below ZERO_TOL is a zero hit and yields
-    ConvolutionFail with the sample as witness; margin is min - ZERO_TOL.
+    f is a member exactly when (1/z^p)(L f * k_theta) has no zero in the disk
+    for any theta, with k_theta carrying (1 + B e^(i theta))[k+p,q] -
+    [p,q](1 + A e^(i theta)) at z^(k+p), and L f / z^p has none either.  The
+    functional is P(z) + e^(i theta) Q(z) from two theta-free sums, so its
+    minimum over theta is ||P| - |Q|| exactly; the minimum of that and
+    |L f / z^p| over the samples of zspec is recorded.  Any minimum below
+    ZERO_TOL is a zero hit and yields ConvolutionFail with the sample as
+    witness; margin is min - ZERO_TOL.
     """
     zspec = zspec or SamplingSpec()
     lf = apply_L(f)
-    mins, wits = _convolution_scan(lf.coeffs[None, :], f.ctx, jp, theta_grid, zspec)
+    mins, wits = _convolution_scan(lf.coeffs[None, :], f.ctx, jp, zspec)
     min_abs = float(mins[0])
     margin = min_abs - ZERO_TOL
     if min_abs < ZERO_TOL:

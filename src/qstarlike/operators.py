@@ -37,20 +37,12 @@ JACKSON_CUTOFF = 1e-12
 _JACKSON_CHUNK = 1 << 14
 
 
-def _qnum_array(ks: np.ndarray, q: float) -> np.ndarray:
-    # vectorized [k, q]; expm1/log keeps full accuracy near q = 1
-    return -np.expm1(ks * math.log(q)) / (1.0 - q)
-
-
 def q_derivative(f: TruncSeries, q: float) -> TruncSeries:
     """Termwise q-difference: c_k z^k -> [k, q] c_k z^(k-1).
 
     Agrees with the quotient (f(z) - f(qz)) / (z (1 - q)) at every point.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
-    ks = np.arange(f.lead, f.lead + f.coeffs.size, dtype=float)
-    scaled = _qnum_array(ks, q) * f.coeffs
+    scaled = q_numbers(f.lead + f.coeffs.size - 1, q)[f.lead :] * f.coeffs
     if f.lead >= 1:
         return TruncSeries(f.lead - 1, scaled)
     if scaled.size == 1:

@@ -254,7 +254,7 @@ def test_criterion5_membership_coherence(corpus, matrices):
         )
         suff_pass = (lam * weights * np.abs(M[:, 1:])).sum(axis=1) <= qp * jp.span
         lf_rows = M * np.concatenate([[1.0], lam])[None, :]
-        conv_mins, _ = _convolution_scan(lf_rows, ctx, jp, 16, conv_spec)
+        conv_mins, _ = _convolution_scan(lf_rows, ctx, jp, conv_spec)
         conv_pass = conv_mins >= ZERO_TOL
         for i in range(M.shape[0]):
             f = NormalizedMember(ctx, TruncSeries(p, M[i]))
@@ -268,10 +268,10 @@ def test_criterion5_membership_coherence(corpus, matrices):
     ctx, jp, M = conv_check[0]
     for i in (0, 7):
         f = NormalizedMember(ctx, TruncSeries(ctx.p, M[i]))
-        v = convolution_test(f, jp, theta_grid=16, zspec=conv_spec)
+        v = convolution_test(f, jp, zspec=conv_spec)
         lam = lambda_table(ctx, CORPUS_ORDER).values
         mins, _ = _convolution_scan(
-            (M[i] * np.concatenate([[1.0], lam]))[None, :], ctx, jp, 16, conv_spec
+            (M[i] * np.concatenate([[1.0], lam]))[None, :], ctx, jp, conv_spec
         )
         assert v.margin == pytest.approx(float(mins[0]) - ZERO_TOL, rel=1e-12)
 

@@ -1,12 +1,13 @@
 import cmath
+import collections
 import itertools
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qstarlike import (
-    DEGENERATE_KERNEL,
     ZERO_TOL,
     JanowskiParams,
     LambdaConvention,
@@ -21,7 +22,6 @@ from qstarlike import (
     apply_L,
     boundary_sample_test,
     coeff_bound,
-    convolution_kernel,
     convolution_test,
     corollary_reduction,
     janowski_value,
@@ -34,7 +34,7 @@ from qstarlike import (
     sufficiency_test,
     verdict_to_json,
 )
-from qstarlike.classify import _convolution_scan, _kernel_weights, subordination_modulus
+from qstarlike.classify import _convolution_scan, _membership_sums, subordination_modulus
 from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
 
 CTX = QContext(1, 0.5, 0.0)
@@ -220,6 +220,15 @@ class TestBoundary:
                 subordination_modulus(f, JP, np.array([0.5, 0.9j]))
         assert info.value.witness == 0.5
 
+    def test_underflowing_guard_is_quiet(self):
+        # the floored guard squared underflows to 0 at z^2 + 1.1 z^4
+        f = member(QContext(2, 0.5, 0.0), [0.0, 1.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = boundary_sample_test(f, JanowskiParams(0.5, -0.5))
+        assert v.kind is VerdictKind.BOUNDARY_FAIL
+        assert v.margin < 0
+
     def test_infinite_guard_gives_zero_allowance_without_warning(self):
         # |A - B h| squares past the float range at z + 1e8 z^4
         f = member(CTX, [0.0, 0.0, 1e8])
@@ -228,32 +237,6 @@ class TestBoundary:
             v = boundary_sample_test(f, JP)
         assert v.kind is VerdictKind.BOUNDARY_FAIL
         assert v.margin < 0
-
-
-class TestConvolutionKernel:
-    def test_first_pair_vanishes_at_p1(self):
-        for theta in (0.0, 1.0, 3.0):
-            en, _ = convolution_kernel(theta, JP, CTX)
-            assert en == 0.0
-
-    def test_p1_values(self):
-        en, el = convolution_kernel(0.0, JP, CTX)
-        assert el == pytest.approx(1.0)
-
-    def test_p2_values(self):
-        en, el = convolution_kernel(0.0, JanowskiParams(1.0, 0.0), QContext(2, 0.5, 0.0))
-        assert en == pytest.approx(1.0 / 3.0)
-        assert el == pytest.approx(5.0 / 3.0)
-
-    def test_degenerate_pair_constant(self):
-        assert DEGENERATE_KERNEL == (0.0, 1.0)
-
-    def test_undefined_kernel(self):
-        # [p,q] A = B is reachable for negative A
-        ctx = QContext(2, 0.5, 0.0)  # [2,q] = 1.5
-        jp = JanowskiParams(-0.5, -0.75)
-        with pytest.raises(ValueError):
-            convolution_kernel(0.0, jp, ctx)
 
 
 def test_starlike_kernel_coefficient_identity():
@@ -269,81 +252,50 @@ def test_starlike_kernel_coefficient_identity():
                 assert series.coeff(k) == pytest.approx(want, rel=1e-12)
 
 
-def test_kernel_weights_match_subordination_only_at_p1():
-    # the scan's weight at offset n is (N+1)[n+1,q] - qL[n,q]; membership
-    # logic needs it proportional to (1+B e^(i theta))[n+p,q] - [p,q](1+A e^(i theta)).
-    # The two agree identically for p = 1 and genuinely diverge for p >= 2,
-    # so the scan is a membership criterion only in the univalent case.
-    def spread(p, theta=0.7, q=0.5, A=1.0, B=-1.0):
-        ctx = QContext(p, q, 0.0)
-        en, el = convolution_kernel(theta, JanowskiParams(A, B), ctx)
-        K = np.array([(en + 1) * q_number(n + 1, q) - q * el * q_number(n, q) for n in range(6)])
-        S = np.array(
-            [
-                (1 + B * cmath.exp(1j * theta)) * q_number(n + p, q)
-                - q_number(p, q) * (1 + A * cmath.exp(1j * theta))
-                for n in range(6)
-            ]
-        )
-        ratios = K / S
-        return np.abs(ratios - ratios[0]).max()
-
-    assert spread(1) <= 1e-12
-    assert spread(2) > 1e-3
-    assert spread(3) > 1e-3
+def _kernel_row(theta, ctx, jp, order):
+    # (1 + B e^(i theta))[k+p,q] - [p,q](1 + A e^(i theta)) at offset k, from the scalar q_number
+    e = cmath.exp(1j * theta)
+    qp = q_number(ctx.p, ctx.q)
+    return np.array(
+        [(1 + jp.B * e) * q_number(k + ctx.p, ctx.q) - qp * (1 + jp.A * e) for k in range(order + 1)]
+    )
 
 
-def _reference_kernel_series(nl, ctx, order):
-    # the kernel ((N+1) z^p - qL z^(p+1)) / ((1-z)(1-qz)) by series division
-    en, el = nl
-    q = ctx.q
-    numer = np.zeros(order + 1, dtype=complex)
-    numer[0] = en + 1.0
-    if order >= 1:
-        numer[1] = -q * el
-    denom = np.zeros(order + 1, dtype=complex)
-    denom[0] = 1.0
-    if order >= 1:
-        denom[1] = -(1.0 + q)
-    if order >= 2:
-        denom[2] = q
-    return ratio(TruncSeries(ctx.p, numer), TruncSeries(0, denom), order=order)
-
-
-def _reference_scan(coeff_rows, ctx, jp, theta_grid, zspec):
-    # one kernel series and one matmul per grid angle, then the degenerate pair
+def _theta_grid_scan(coeff_rows, ctx, jp, thetas, zspec):
+    # one kernel row and one matmul per angle, then the |L f / z^p| row
     rows = np.atleast_2d(np.asarray(coeff_rows, dtype=complex))
     order = rows.shape[1] - 1
+    powers = zspec.points()[None, :] ** np.arange(order + 1)[:, None]
+    best = np.abs(rows @ powers)
+    for theta in thetas:
+        kernel = _kernel_row(theta, ctx, jp, order)
+        best = np.minimum(best, np.abs((rows * kernel[None, :]) @ powers))
+    return best.min(axis=1)
+
+
+def _p_and_q(row, ctx, jp, z):
+    # |P| and |Q| of one row at one point, P = sum ([k+p] - [p]) c_k z^k and
+    # Q = sum (B [k+p] - A [p]) c_k z^k, from the scalar q_number
     p, q = ctx.p, ctx.q
+    qk = np.array([q_number(k + p, q) for k in range(len(row))])
     qp = q_number(p, q)
-    zs = zspec.points()
-    powers = zs[None, :] ** np.arange(order + 1)[:, None]
-    front = zs ** (p - 1)
-    thetas = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
-    kernels = [(convolution_kernel(t, jp, ctx), t) for t in thetas]
-    kernels.append((DEGENERATE_KERNEL, 0.0))
-    best = np.full(rows.shape[0], np.inf)
-    witness = np.zeros(rows.shape[0], dtype=complex)
-    for nl, theta in kernels:
-        kappa = _reference_kernel_series(nl, ctx, order)
-        scale = cmath.exp(1j * theta) * (jp.B - qp * jp.A)
-        vals = (rows * kappa.coeffs[None, :]) @ powers * (scale * front)[None, :]
-        mags = np.abs(vals)
-        idx = np.argmin(mags, axis=1)
-        mins = mags[np.arange(rows.shape[0]), idx]
-        better = mins < best
-        best = np.where(better, mins, best)
-        witness = np.where(better, zs[idx], witness)
-    return best, witness
+    powers = z ** np.arange(len(row))
+    return abs(powers @ (row * (qk - qp))), abs(powers @ (row * (jp.B * qk - jp.A * qp)))
 
 
-def _assert_minima_close(got, want):
-    # rounding differs from the series route; near-zero minima (the crafted
-    # z + 5 z^2 reaches ~3e-16) are compared absolutely
-    got, want = np.asarray(got), np.asarray(want)
-    small = want < 1e-6
-    assert np.all(np.abs(got - want)[small] <= 1e-12)
-    assert np.all(np.abs(got - want)[~small] <= 1e-9 * want[~small])
+def _assert_within_grid_bound(rows, ctx, jp, exact, witness, grid, n_theta):
+    """exact <= grid, and grid^2 <= exact^2 + |P||Q| Delta^2 at the witness.
+
+    |P + e^(i theta) Q|^2 = (|P| - |Q|)^2 + 2|P||Q|(1 - cos(theta - theta*)),
+    and some grid angle lies within Delta = pi / n_theta of theta*.  Rounding
+    is budgeted relative to a bound on |P|, |Q| and |D| over the disk.
+    """
+    order = rows.shape[1] - 1
+    slack = 1e-13 * np.abs(rows).sum(axis=1) * 3.0 * q_number(ctx.p + order, ctx.q)
+    assert np.all(exact <= grid + slack)
+    P, Q = np.array([_p_and_q(row, ctx, jp, z) for row, z in zip(rows, witness)]).T
+    bound = np.hypot(exact, np.sqrt(P) * np.sqrt(Q) * np.pi / n_theta)
+    assert np.all(grid <= bound + 2.0 * slack)
 
 
 GRID = list(itertools.product(P_GRID, Q_GRID, MU_GRID, AB_GRID))
@@ -360,66 +312,72 @@ def _screen_pool(seed, order=32):
         ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
         w = random_schwarz(int(rng.integers(1, 5)), int(rng.integers(2**31)))
         f = schwarz_to_member(w, ctx, jp, order=order)
-        pool.append((f, jp))
+        pool.append(("member", f, jp))
         if k % 3 == 2:
             push = coeff_bound(1, ctx, jp) * (1.05 + rng.uniform())
             coeffs = np.array(f.series.coeffs)
             coeffs[1] = push * np.exp(2j * np.pi * rng.uniform())
-            pool.append((NormalizedMember(ctx, TruncSeries(p, coeffs)), jp))
-    pool.append((member(CTX, [5.0] + [0.0] * (order - 1)), JP))
+            pool.append(("perturbed", NormalizedMember(ctx, TruncSeries(p, coeffs)), jp))
+    pool.append(("crafted", member(CTX, [5.0] + [0.0] * (order - 1)), JP))
     return pool
 
 
 class TestConvolutionScanGate:
-    """The closed-form scan against the per-kernel series scan it replaced."""
+    """The exact-theta scan against the membership kernel built from scalar q-numbers."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_kernel_weights_closed_form(self, p):
+        # at z = 1 each unit row e_k gives the weights P_k and Q_k themselves
         order = 12
         for q, (a, b) in itertools.product((0.3, 0.9, 0.99), AB_GRID):
             ctx, jp = QContext(p, q, 0.0), JanowskiParams(a, b)
-            w = _kernel_weights(jp, ctx, order)
-            qn = np.array([q_number(n, q) for n in range(order + 2)])
-            assert np.all(np.abs(w[2] - (qn[1:] - q * qn[:-1])) <= 1e-14)
+            P, Q, D = _membership_sums(np.eye(order + 1, dtype=complex), ctx, jp, np.ones(1))
+            assert np.array_equal(D[:, 0], np.ones(order + 1))
+            qn = np.array([q_number(k + p, q) for k in range(order + 1)])
+            qp = q_number(p, q)
             for theta in 2.0 * np.pi * np.arange(64) / 64:
-                en, el = convolution_kernel(theta, jp, ctx)
-                want = (en + 1.0) * qn[1:] - q * el * qn[:-1]
-                got = w[0] + cmath.exp(-1j * theta) * w[1]
+                e = cmath.exp(1j * theta)
+                want = (1.0 + b * e) * qn - qp * (1.0 + a * e)
+                got = P[:, 0] + e * Q[:, 0]
                 # relative to the two terms, which can cancel in `want`
-                scale = np.abs((en + 1.0) * qn[1:]) + np.abs(q * el * qn[:-1])
+                scale = np.abs((1.0 + b * e) * qn) + np.abs(qp * (1.0 + a * e))
                 assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_membership_screen_pools_match_reference(self):
+        # the benchmark pools of seeds 1-3: every member and perturbed
+        # candidate passes, each crafted z + 5 z^2 hits the zero of L f / z^p
+        # at -1/5, and every minimum lies within a 16-angle grid's bound
         spec = SamplingSpec()
+        kinds = collections.Counter()
         groups = {}
         for seed in (1, 2, 3):
-            for f, jp in _screen_pool(seed):
+            for role, f, jp in _screen_pool(seed):
+                v = convolution_test(f, jp)
+                kinds[role, v.kind.value] += 1
+                if role == "crafted":
+                    assert v.witness == pytest.approx(-0.2, abs=1e-9)
                 groups.setdefault((f.ctx, jp), []).append(f)
-        assert sum(len(fs) for fs in groups.values()) == 723
-        fails = 0
+        assert kinds == {
+            ("member", "ConvolutionPass"): 540,
+            ("perturbed", "ConvolutionPass"): 180,
+            ("crafted", "ConvolutionFail"): 3,
+        }
+        thetas = 2.0 * np.pi * np.arange(16) / 16
         for (ctx, jp), fs in groups.items():
             rows = np.array([apply_L(f).coeffs for f in fs])
-            want, want_z = _reference_scan(rows, ctx, jp, 64, spec)
-            verdicts = [convolution_test(f, jp) for f in fs]
-            got = np.array([v.margin + ZERO_TOL for v in verdicts])
-            for v, m, z in zip(verdicts, want, want_z):
-                assert (v.kind is VerdictKind.CONVOLUTION_FAIL) == (m < ZERO_TOL)
-                if v.kind is VerdictKind.CONVOLUTION_FAIL:
-                    fails += 1
-                    assert v.witness == z
-            _assert_minima_close(got, want)
-            _, got_z = _convolution_scan(rows, ctx, jp, 64, spec)
-            assert np.array_equal(got_z, want_z)
-        assert fails >= 3  # at least the crafted candidate of each seed
+            exact, witness = _convolution_scan(rows, ctx, jp, spec)
+            grid = _theta_grid_scan(rows, ctx, jp, thetas, spec)
+            _assert_within_grid_bound(rows, ctx, jp, exact, witness, grid, 16)
 
     def test_huge_coefficients_match_reference(self):
-        # |P| |Q| passes the float range here although P and Q do not
+        # P and Q near 1e301 stay finite and the minimum keeps its bound
         f = member(CTX, [1e300] * 8)
-        rows = apply_L(f).coeffs
-        got, got_z = _convolution_scan(rows, CTX, JP, 64, SamplingSpec())
-        want, want_z = _reference_scan(rows, CTX, JP, 64, SamplingSpec())
-        _assert_minima_close(got, want)
-        assert np.array_equal(got_z, want_z)
+        rows = apply_L(f).coeffs[None, :]
+        thetas = 2.0 * np.pi * np.arange(64) / 64
+        exact, witness = _convolution_scan(rows, CTX, JP, SamplingSpec())
+        grid = _theta_grid_scan(rows, CTX, JP, thetas, SamplingSpec())
+        assert np.isfinite(exact).all() and exact[0] > 0.0
+        _assert_within_grid_bound(rows, CTX, JP, exact, witness, grid, 64)
 
     @pytest.fixture(scope="class")
     def corpus_subset(self, corpus):
@@ -431,29 +389,50 @@ class TestConvolutionScanGate:
             out.append((ctx, jp, member_matrix(corpus, ctx, jp, order=8) * lam[None, :]))
         return out
 
-    @pytest.mark.parametrize("theta_grid", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("theta_grid", [1, 2, 3, 8, 16, 256])
     def test_corpus_subset_matches_reference(self, corpus_subset, theta_grid):
+        # exact <= any theta grid's minimum, and the 256-angle grid is dense
+        # enough that the bound pins it to the exact minimum
         spec = SamplingSpec(radii=tuple(np.arange(1, 10) * 0.1), angles=90)
+        thetas = 2.0 * np.pi * np.arange(theta_grid) / theta_grid
         for ctx, jp, rows in corpus_subset:
-            got, got_z = _convolution_scan(rows, ctx, jp, theta_grid, spec)
-            want, want_z = _reference_scan(rows, ctx, jp, theta_grid, spec)
-            assert np.array_equal(got < ZERO_TOL, want < ZERO_TOL)
-            assert np.array_equal(got_z, want_z)
-            _assert_minima_close(got, want)
+            exact, witness = _convolution_scan(rows, ctx, jp, spec)
+            grid = _theta_grid_scan(rows, ctx, jp, thetas, spec)
+            _assert_within_grid_bound(rows, ctx, jp, exact, witness, grid, theta_grid)
+
+    def test_minimum_matches_mpmath_at_argmin(self, corpus_subset):
+        # min(||P| - |Q||, |D|) at the witness of the first row of every
+        # subset grid point, and of the crafted z + 5 z^2, at 40 digits
+        spec = SamplingSpec(radii=tuple(np.arange(1, 10) * 0.1), angles=90)
+        cases = [(ctx, jp, rows[:1]) for ctx, jp, rows in corpus_subset]
+        cases.append((CTX, JP, apply_L(member(CTX, [5.0] + [0.0] * 7)).coeffs[None, :]))
+        assert len(cases) == 21
+        with mp.workdps(40):
+            for ctx, jp, rows in cases:
+                got, witness = _convolution_scan(rows, ctx, jp, spec)
+                q, z = mp.mpf(ctx.q), mp.mpc(witness[0])
+                qk = [mp.fsum(q**j for j in range(k + ctx.p)) for k in range(rows.shape[1])]
+                qp = qk[0]
+                D = mp.fsum(mp.mpc(c) * z**k for k, c in enumerate(rows[0]))
+                E = mp.fsum(qk[k] * mp.mpc(c) * z**k for k, c in enumerate(rows[0]))
+                P = E - qp * D
+                Q = mp.mpf(jp.B) * E - mp.mpf(jp.A) * qp * D
+                want = min(abs(abs(P) - abs(Q)), abs(D))
+                assert abs(got[0] - want) <= 1e-13 * float(abs(P) + abs(Q))
 
 
 class TestConvolutionTest:
     def test_monomial_passes(self):
         for p in (1, 2):
             ctx = QContext(p, 0.5, 0.0)
-            v = convolution_test(member(ctx, []), JP, theta_grid=16)
+            v = convolution_test(member(ctx, []), JP)
             assert v.kind is VerdictKind.CONVOLUTION_PASS
             assert v.margin > 0
 
     def test_oracle_member_passes_on_example_grid(self):
         ctx = QContext(1, 0.9, 0.0)
         f = schwarz_to_member(SchwarzPoly((0.25 + 0.1j, 0.15)), ctx, JP, order=64)
-        v = convolution_test(f, JP, theta_grid=64, zspec=SamplingSpec((0.3, 0.6, 0.9), 360))
+        v = convolution_test(f, JP, zspec=SamplingSpec((0.3, 0.6, 0.9), 360))
         assert v.kind is VerdictKind.CONVOLUTION_PASS
 
     def test_crafted_non_member_yields_zero_hit(self):
@@ -461,8 +440,36 @@ class TestConvolutionTest:
         v = convolution_test(f, JP)
         assert v.kind is VerdictKind.CONVOLUTION_FAIL
         assert v.margin < 0
-        # the degenerate pair reduces the scan to f itself; its root is -1/5
+        # the |L f / z^p| term reduces the scan to f itself; its root is -1/5
         assert v.witness == pytest.approx(-0.2, abs=1e-9)
+
+    def test_p2_member_passes_every_test(self):
+        # z^2 + 0.5 z^3 is certified by the coefficient criterion, so the
+        # membership kernel must find no zero
+        ctx, jp = QContext(2, 0.5, 1.0), JanowskiParams(0.5, -0.5)
+        f = member(ctx, [0.5])
+        assert sufficiency_test(f, jp).kind is VerdictKind.SUFFICIENCY_PASS
+        assert boundary_sample_test(f, jp).kind is VerdictKind.BOUNDARY_PASS
+        v = convolution_test(f, jp)
+        assert v.kind is VerdictKind.CONVOLUTION_PASS
+        assert v.margin + ZERO_TOL == pytest.approx(0.164, abs=5e-4)
+
+    def test_p2_h_on_target_boundary_is_a_zero_hit(self):
+        # z^2 + 3.2 z^4 has h(0.5i) = 0, which (1 + z)/(1 - z) takes at z = -1
+        ctx = QContext(2, 0.5, 0.0)
+        v = convolution_test(member(ctx, [0.0, 3.2]), JP)
+        assert v.kind is VerdictKind.CONVOLUTION_FAIL
+        assert v.margin + ZERO_TOL <= 1e-15
+        assert v.witness == pytest.approx(0.5j, abs=1e-12)
+
+    def test_p2_with_p_q_times_A_equal_to_B_gets_a_verdict(self):
+        # [2,q] A = B at q = 0.5, (A, B) = (-0.5, -0.75)
+        ctx, jp = QContext(2, 0.5, 0.0), JanowskiParams(-0.5, -0.75)
+        assert q_number(2, 0.5) * jp.A == jp.B
+        v = convolution_test(member(ctx, []), jp)
+        assert v.kind is VerdictKind.CONVOLUTION_PASS
+        # P = 0 and Q = [2,q](B - A) for the monomial
+        assert v.margin + ZERO_TOL == pytest.approx(0.375, rel=1e-14)
 
     def test_sampling_spec_validation(self):
         with pytest.raises(ValueError):
@@ -507,7 +514,7 @@ def test_verdict_coherence_on_small_corpus(small_corpus):
             f = schwarz_to_member(w, ctx, jp, order=8)
             s = sufficiency_test(f, jp)
             bd = boundary_sample_test(f, jp, r=0.3, m=180)
-            cv = convolution_test(f, jp, theta_grid=8, zspec=specs)
+            cv = convolution_test(f, jp, zspec=specs)
             if s.passed:
                 assert bd.passed and cv.passed
             if bd.passed:

@@ -9,8 +9,11 @@ from qstarlike import (
     TruncSeries,
     coeff_bound,
     load_series,
+    random_schwarz,
     save_series,
+    schwarz_to_member,
 )
+from qstarlike import cli
 from qstarlike.cli import main
 
 
@@ -138,6 +141,23 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["boundary"]["kind"] == "BoundaryFail"
         assert payload["convolution"]["kind"] == "ConvolutionFail"
+
+    def test_sufficiency_fail_alone_is_status_zero(self, capsys, tmp_path):
+        # an oracle member the coefficient criterion cannot certify: that
+        # criterion is only sufficient, so its Fail does not set the status
+        ctx, jp = QContext(1, 0.5, 0.0), JanowskiParams(1.0, -1.0)
+        f = schwarz_to_member(random_schwarz(3, 1), ctx, jp, order=8)
+        path = str(tmp_path / "f.json")
+        save_series(f.series, path)
+        status, out, _ = run_cli(
+            capsys, "check", "--in", path, "--p", "1", "--q", "0.5", "--mu", "0",
+            "--A", "1", "--B", "-1",
+        )
+        payload = json.loads(out)
+        assert payload["sufficiency"]["kind"] == "SufficiencyFail"
+        assert payload["boundary"]["kind"] == "BoundaryPass"
+        assert payload["convolution"]["kind"] == "ConvolutionPass"
+        assert status == 0
 
     def test_missing_input_is_status_two(self, capsys):
         status, _, err = run_cli(capsys, "check", "--p", "1")
@@ -342,3 +362,15 @@ def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+
+
+def test_internal_error_is_status_three_without_traceback(capsys, monkeypatch):
+    def broken(ns):
+        """Raise an exception no input error maps to."""
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "_cmd_qnum", broken)
+    status, out, err = run_cli(capsys, "qnum", "--n", "3")
+    assert status == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: handler broke"]

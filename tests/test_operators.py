@@ -101,6 +101,14 @@ class TestQDerivative:
             rhs = (evaluate(f, z) - evaluate(f, q * z)) / (z * (1 - q))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
+    def test_scales_by_the_q_number_table_bit_for_bit(self):
+        # one [k,q] definition: the termwise factors are q_number's power sums
+        for lead in (0, 1, 3):
+            for q in (0.3, 0.9, 1.0 - 1e-6):
+                out = q_derivative(TruncSeries(lead, np.ones(65)), q)
+                want = [q_number(k, q) for k in range(max(lead, 1), lead + 65)]
+                assert np.array_equal(out.coeffs, want)
+
     def test_constant(self):
         out = q_derivative(TruncSeries(0, [7.0]), 0.5)
         assert np.allclose(out.coeffs, [0.0])
