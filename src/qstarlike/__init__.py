@@ -1,7 +1,9 @@
 """Numerical toolkit for multivalent q-starlike function families with
 Janowski (circular-domain) targets: q-calculus primitives, truncated series
-arithmetic, convolution/integral operators, membership tests, sharp-bound
-calculators, and a Schwarz-polynomial membership oracle."""
+arithmetic, convolution/integral operators, membership tests, coefficient
+and functional bound calculators (the coefficient bounds are attained for
+B = -1, the Fekete-Szego bound everywhere; see `bounds`), and a
+Schwarz-polynomial membership oracle."""
 
 from .bounds import (
     BOUND_TOL,
@@ -71,14 +73,11 @@ from .qarith import (
 from .series import (
     NormalizedMember,
     TruncSeries,
-    cauchy_product,
     evaluate,
     hadamard,
     load_series,
     ratio,
     save_series,
-    scaled,
-    shifted,
     tail_bound,
 )
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import apply_L, lambda_table, q_derivative
+from .operators import apply_L, lambda_table
 from .qarith import LambdaConvention, QContext, q_number, q_numbers
-from .series import NormalizedMember, TruncSeries, evaluate, ratio, scaled, shifted, tail_bound
+from .series import NormalizedMember, TruncSeries, evaluate, ratio, tail_bound
 
 __all__ = [
     "ZERO_TOL",
@@ -47,6 +47,9 @@ ZERO_TOL = 1e-7
 
 #: Allowance values are clamped here so margins stay finite.
 _BIG_ALLOWANCE = 1e9
+
+#: The boundary test expands h until its tail allowance drops below this.
+_TAU_TARGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -187,28 +190,40 @@ def _strictly_negative(margin: float) -> float:
 def _h_series(f: NormalizedMember, h_order: int | None, default_order: int):
     """h = z d_q(L f) / ([p,q] L f) by series division, and its divisor [p,q] L f.
 
-    h_order None expands to max(order of L f, default_order); an overflowing
-    expansion comes back non-finite, and `_h_values` turns that into a
-    SamplePoleError.
+    The numerator row [k+p,q] c_k of L f = sum c_k z^(k+p) is the E row of
+    `_membership_sums`.  h_order None expands to max(order of L f,
+    default_order); an overflowing expansion comes back non-finite, and
+    `_subordination_moduli` turns that into a SamplePoleError.
     """
     ctx = f.ctx
     lf = apply_L(f)
-    num = shifted(q_derivative(lf, ctx.q), 1)
-    den = scaled(lf, q_number(ctx.p, ctx.q))
+    num = TruncSeries(ctx.p, q_numbers(ctx.p + lf.trunc_order, ctx.q)[ctx.p :] * lf.coeffs)
+    den = TruncSeries(ctx.p, q_number(ctx.p, ctx.q) * lf.coeffs)
     if h_order is None:
         h_order = max(lf.trunc_order, default_order)
     return ratio(num, den, order=h_order), den
 
 
-def _h_values(h: TruncSeries, zs: np.ndarray) -> np.ndarray:
-    """h at the samples; raises SamplePoleError at the first non-finite value."""
+def _subordination_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray):
+    """|(h - 1)/(A - B h)| and |A - B h| at the samples zs (one-dimensional).
+
+    Raises SamplePoleError at the first sample where h is not finite or
+    A - B h vanishes.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         hv = evaluate(h, zs)
     finite = np.isfinite(hv)
     if not finite.all():
-        bad = zs.reshape(-1)[int(np.argmin(finite.reshape(-1)))]
+        bad = zs[int(np.argmin(finite))]
         raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
-    return hv
+    den = np.abs(jp.A - jp.B * hv)
+    if np.any(den < 1e-14 * (1.0 + np.abs(hv))):
+        raise SamplePoleError("vanishing denominator A - B h(z)", complex(zs[int(np.argmin(den))]))
+    v = np.abs(hv - 1.0) / den
+    if not np.isfinite(v).all():
+        bad = zs[int(np.argmin(np.isfinite(v)))]
+        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
+    return v, den
 
 
 def subordination_modulus(
@@ -219,13 +234,15 @@ def subordination_modulus(
 ) -> np.ndarray:
     """The sampled modulus |(h - 1)/(A - B h)| with h = z d_q(L f)/([p,q] L f).
 
-    For a member this equals |w(z)| < 1; values are computed from the series
-    expansion of h (no truncation allowance applied here).  Raises
-    SamplePoleError when h is not finite at a sample.
+    For a member this equals |w(z)| < 1.  These are the moduli of
+    boundary_sample_test before its truncation allowance, with h expanded to
+    h_order (default: max(order of L f, 48)).  Raises SamplePoleError when h
+    is not finite or A - B h vanishes at a sample.
     """
     h, _ = _h_series(f, h_order, 48)
-    hv = _h_values(h, np.asarray(z, dtype=complex))
-    return np.abs(hv - 1.0) / np.abs(jp.A - jp.B * hv)
+    zs = np.asarray(z, dtype=complex)
+    v, _ = _subordination_moduli(h, jp, zs.reshape(-1))
+    return v.reshape(zs.shape)
 
 
 def _min_order_for_tau(r: float, span: float, target: float) -> int:
@@ -234,40 +251,18 @@ def _min_order_for_tau(r: float, span: float, target: float) -> int:
     return min(max(n, 4), 512)
 
 
-def _eq7_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray, tau: float):
-    """Subordination moduli |(h-1)/(A - B h)| at the samples, with the
-    per-sample allowance that a truncation error of size tau can induce."""
-    hv = _h_values(h, zs)
-    den = jp.A - jp.B * hv
-    if np.any(np.abs(den) < 1e-14 * (1.0 + np.abs(hv))):
-        bad = zs[int(np.argmin(np.abs(den)))]
-        raise SamplePoleError("vanishing denominator A - B h(z)", complex(bad))
-    v = np.abs(hv - 1.0) / np.abs(den)
-    if not np.isfinite(v).all():
-        bad = zs[int(np.argmin(np.isfinite(v)))]
-        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
-    guard = np.abs(den) - abs(jp.B) * tau
-    # guard^2 overflowing to inf (a zero allowance) or underflowing to 0 (an
-    # infinite one, clamped below) are the intended limits
-    with np.errstate(over="ignore", divide="ignore"):
-        allowance = np.where(guard > 0.0, jp.span * tau / np.maximum(guard, 1e-300) ** 2, np.inf)
-    return v, np.minimum(allowance, _BIG_ALLOWANCE)
-
-
 def boundary_sample_test(
     f: NormalizedMember,
     jp: JanowskiParams,
     r: float = 0.9,
     m: int = 720,
-    h_order: int | None = None,
-    tau_target: float = 0.01,
 ) -> MembershipVerdict:
     """Sample the subordination modulus at m equispaced points on |z| = r.
 
-    h = z d_q(L f) / ([p,q] L f) is expanded by series division to h_order
-    (default: enough that the membership-conditional tail allowance drops
-    below tau_target).  Were f a member, h's coefficients would be bounded
-    by A - B, so the discarded tail at radius r is at most
+    h = z d_q(L f) / ([p,q] L f) is expanded by series division to the
+    order of L f, or further until the membership-conditional tail
+    allowance drops below 0.01.  Were f a member, h's coefficients would be
+    bounded by A - B, so the discarded tail at radius r is at most
     (A-B) r^(order+1)/(1-r); the verdict budgets for it on both sides:
 
     * Pass needs every modulus + allowance < 1 (honest about truncation),
@@ -278,7 +273,7 @@ def boundary_sample_test(
         raise ValueError(f"radius must lie in (0, 1), got {r}")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    h, den = _h_series(f, h_order, _min_order_for_tau(r, jp.span, tau_target))
+    h, den = _h_series(f, None, _min_order_for_tau(r, jp.span, _TAU_TARGET))
     zs = r * np.exp(2j * np.pi * np.arange(m) / m)
     den_vals = evaluate(den, zs)
     den_abs = np.abs(den_vals)
@@ -288,7 +283,14 @@ def boundary_sample_test(
         )
 
     tau = tail_bound(h, r, coeff=jp.span, growth=1.0)
-    v, allowance = _eq7_moduli(h, jp, zs, tau)
+    v, den_mod = _subordination_moduli(h, jp, zs)
+    # the allowance a truncation error of size tau can induce at each sample
+    guard = den_mod - abs(jp.B) * tau
+    # guard^2 overflowing to inf (a zero allowance) or underflowing to 0 (an
+    # infinite one, clamped below) are the intended limits
+    with np.errstate(over="ignore", divide="ignore"):
+        allowance = np.where(guard > 0.0, jp.span * tau / np.maximum(guard, 1e-300) ** 2, np.inf)
+    allowance = np.minimum(allowance, _BIG_ALLOWANCE)
     hi = v + allowance
     lo = v - allowance
     max_hi = float(hi.max())

@@ -26,6 +26,7 @@ or usage error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import itertools
 import json
@@ -34,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .bounds import bernardi_fekete_bound, coeff_bounds, fekete_szego_bound, write_csv
+from .bounds import bernardi_fekete_bound, coeff_bounds, fekete_szego_bound
 from .classify import (
     JanowskiParams,
     boundary_sample_test,
@@ -157,10 +158,17 @@ def _emit(ns, text: str) -> None:
 
 
 def _emit_table(ns, rows: list[dict], payload=None) -> None:
-    """Write rows as CSV, or payload (the rows if not given) as one JSON line, per --format."""
+    """Write rows as CSV, or payload (the rows if not given) as one JSON line, per --format.
+
+    CSV floats carry 15 significant digits with '.' as the decimal separator.
+    """
     if ns.format == "csv":
+        columns = list(rows[0])
         buf = io.StringIO()
-        write_csv(rows, buf, list(rows[0]))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(f"{row[k]:.15g}" if isinstance(row[k], float) else row[k] for k in columns)
         _emit(ns, buf.getvalue())
     else:
         _emit(ns, json.dumps(rows if payload is None else payload, default=float) + "\n")

@@ -152,7 +152,6 @@ def bernardi_jackson(
     bp: BernardiParams,
     z: complex,
     terms: int | None = None,
-    allow_noninteger_eta: bool = False,
 ) -> complex:
     """Jackson-integral form: ([eta+p,q]/z^eta) * integral_0^z t^(eta-1) f(t) d_q t.
 
@@ -160,18 +159,21 @@ def bernardi_jackson(
     over every k with q^k >= JACKSON_CUTOFF: log(JACKSON_CUTOFF)/log(q) terms,
     about 27.6 / (1 - q) near q = 1, where bernardi_series is the practical
     form.  An explicit `terms` also stops the sum after that many terms.
-    Non-integer eta would need a branch choice for t^(eta-1); the default
-    rejects it, and opting in uses principal powers.
+    Non-integer eta uses principal powers, which are exact along the ray
+    t = q^k z.  The terms decay like q^(k(eta+p)), so for eta + p < 1 (only
+    a non-integer eta gets there) the cutoff would truncate the sum
+    visibly; that range raises ValueError.
     """
     if terms is not None and terms < 1:
         raise ValueError("terms must be positive")
     eta = float(bp.eta)
     integral_eta = eta.is_integer()
-    if not integral_eta and not allow_noninteger_eta:
-        raise ValueError(
-            "non-integer eta needs allow_noninteger_eta=True (principal powers; experimental)"
-        )
     ctx = bp.ctx
+    if eta + ctx.p < 1.0:
+        raise ValueError(
+            f"the Jackson sum truncates for eta + p < 1 (eta = {eta}, p = {ctx.p}); "
+            "use bernardi_series"
+        )
     z = complex(z)
     if z == 0.0:
         return 0.0 + 0.0j

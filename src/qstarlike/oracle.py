@@ -62,17 +62,6 @@ class SchwarzPoly:
     def padded(self, k: int) -> tuple[complex, ...]:
         return self.coeffs + (0.0 + 0.0j,) * max(0, k - len(self.coeffs))
 
-    def value(self, z):
-        """w(z), broadcasting over ndarray arguments."""
-        zz = np.asarray(z, dtype=complex)
-        acc = np.full(zz.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * zz + c
-        out = acc * zz
-        if zz.shape == ():
-            return complex(out)
-        return out
-
 
 def random_schwarz(k: int, seed: int) -> SchwarzPoly:
     """k complex coefficients rescaled so sum |w_j| hits a uniform draw in (0, 1].
@@ -156,7 +145,9 @@ def member_matrix(
     c_n = psi_n sum_(k<n) c_k d_(n-k) with c_0 = 1; psi_n > 0, so the
     recursion is total.  All rows are solved at once, one row-wise dot per
     n, and a = c / Lambda at the end.  A row does not depend on the other
-    rows, so `schwarz_to_member` is this solver on one row.
+    rows, so `schwarz_to_member` is this solver on one row.  Raises
+    ValueError, naming the first such offset, when a coefficient is not
+    finite (the recursion overflowed).
     """
     D = _janowski_rows(_schwarz_matrix([w for _, w in corpus], order), jp)
     if _exceeds_rotation_bound(D[:, 1:], jp):
@@ -164,9 +155,14 @@ def member_matrix(
     psis = psi_values(ctx, order).tolist()
     lam_a = np.empty_like(D)
     lam_a[:, 0] = 1.0
-    for n in range(1, order + 1):
-        lam_a[:, n] = psis[n - 1] * np.einsum("ij,ij->i", lam_a[:, :n], D[:, n:0:-1])
-    lam_a[:, 1:] /= lambda_table(ctx, order).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order + 1):
+            lam_a[:, n] = psis[n - 1] * np.einsum("ij,ij->i", lam_a[:, :n], D[:, n:0:-1])
+        lam_a[:, 1:] /= lambda_table(ctx, order).values
+    finite = np.isfinite(lam_a).all(axis=0)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(f"member coefficient a_(p+{n}) is not finite for {ctx}, {jp}")
     return lam_a
 
 

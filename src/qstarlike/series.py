@@ -20,12 +20,9 @@ __all__ = [
     "TruncSeries",
     "NormalizedMember",
     "hadamard",
-    "cauchy_product",
     "ratio",
     "evaluate",
     "tail_bound",
-    "scaled",
-    "shifted",
     "save_series",
     "load_series",
 ]
@@ -85,18 +82,6 @@ class NormalizedMember:
             raise ValueError("leading coefficient must be exactly 1")
 
 
-def scaled(f: TruncSeries, c: complex) -> TruncSeries:
-    """c * f, same exponent range."""
-    return TruncSeries(f.lead, f.coeffs * c)
-
-
-def shifted(f: TruncSeries, k: int) -> TruncSeries:
-    """z^k * f (k may be negative as long as the new lead stays nonnegative)."""
-    if f.lead + k < 0:
-        raise ValueError(f"shift by {k} would give negative leading exponent")
-    return TruncSeries(f.lead + k, f.coeffs)
-
-
 def hadamard(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     """Coefficientwise product matched by exponent (convolution product)."""
     if f.lead != g.lead:
@@ -107,15 +92,8 @@ def hadamard(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return TruncSeries(f.lead, f.coeffs[: n + 1] * g.coeffs[: n + 1])
 
 
-def cauchy_product(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """Ordinary series product, truncated at the shorter reliable order."""
-    n = min(f.trunc_order, g.trunc_order)
-    full = np.convolve(f.coeffs, g.coeffs)
-    return TruncSeries(f.lead + g.lead, full[: n + 1])
-
-
 def ratio(f: TruncSeries, g: TruncSeries, order: int | None = None) -> TruncSeries:
-    """Series h with cauchy_product(h, g) = f up to the truncation order.
+    """Series h with h g = f (ordinary series product) up to the truncation order.
 
     By default the result is truncated at min(f.trunc_order, g.trunc_order),
     the deepest order the operands' known coefficients support.  Passing

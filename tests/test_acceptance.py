@@ -26,6 +26,7 @@ from qstarlike import (
     bernardi_series,
     boundary_sample_test,
     coeff_bound,
+    coeff_bounds,
     convolution_test,
     corollary_reduction,
     evaluate,
@@ -40,6 +41,8 @@ from qstarlike import (
     ruscheweyh_classical,
     schwarz_to_member,
     sufficiency_test,
+    third_functional_bound,
+    third_functional_value,
 )
 from qstarlike.classify import _convolution_scan, subordination_modulus
 from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
@@ -174,6 +177,79 @@ def test_criterion2_first_coefficient_sharpness():
         gap = abs(abs(f.series.coeffs[1]) - coeff_bound(1, ctx, jp))
         worst = max(worst, gap)
     ok = report("2", worst <= 1e-10, f"rotation seed attains the first bound, worst gap {worst:.2e}")
+    assert ok
+
+
+#: w = z, z^2 and z^3, the Schwarz functions that attain the bounds where
+#: anything does.
+EXTREMAL_W = [(k, SchwarzPoly((0.0,) * k + (1.0,))) for k in range(3)]
+
+
+@pytest.fixture(scope="module")
+def extremal_matrices():
+    """Members of EXTREMAL_W at every grid point, one member_matrix call per point."""
+    return {
+        (p, q, mu, ab): member_matrix(
+            EXTREMAL_W, QContext(p, q, mu), JanowskiParams(*ab), order=CORPUS_ORDER
+        )
+        for p, q, mu, ab in GRID
+    }
+
+
+def test_criterion2_coefficient_bounds_sharp_exactly_for_b_minus_one(extremal_matrices):
+    attained_gap = 0.0  # |ratio - 1| wherever the bound is attained
+    largest = 0.0  # ratio at n >= 2 for B > -1
+    smallest = 1.0  # ratio at n = N for B > -1
+    for (p, q, mu, ab), M in extremal_matrices.items():
+        ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+        ratio = np.abs(M[0, 1:]) / coeff_bounds(ctx, jp, CORPUS_ORDER)
+        if jp.B == -1.0:
+            attained_gap = max(attained_gap, float(np.max(np.abs(ratio - 1.0))))
+        else:
+            attained_gap = max(attained_gap, abs(float(ratio[0]) - 1.0))
+            largest = max(largest, float(np.max(ratio[1:])))
+            smallest = min(smallest, float(ratio[-1]))
+    ok = report(
+        "2b",
+        attained_gap <= 1e-14 and largest <= 0.991 and smallest <= 3e-5,
+        f"w = z attains coeff_bound(n), n <= {CORPUS_ORDER}, for B = -1 and n = 1 "
+        f"(worst |ratio - 1| {attained_gap:.1e}); for B > -1 and n >= 2 the ratio is "
+        f"at most {largest:.4f}, at n = {CORPUS_ORDER} down to {smallest:.1e}",
+    )
+    assert ok
+
+
+def test_criterion2_fekete_szego_bound_sharp(extremal_matrices):
+    worst = 0.0
+    for (p, q, mu, ab), M in extremal_matrices.items():
+        ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+        a1, a2 = M[:2, 1], M[:2, 2]
+        values = np.max(np.abs(a2[:, None] - LAMBDA_GRID[None, :] * a1[:, None] ** 2), axis=0)
+        bounds = np.array([fekete_szego_bound(lam, ctx, jp) for lam in LAMBDA_GRID])
+        worst = max(worst, float(np.max(np.abs(values - bounds) / bounds)))
+    ok = report(
+        "2c",
+        worst <= 1e-14,
+        f"the larger of w = z and w = z^2 attains the Fekete-Szego bound at every "
+        f"lambda in [-2, 2], worst relative gap {worst:.1e}",
+    )
+    assert ok
+
+
+def test_criterion2_third_functional_bound_not_attained(extremal_matrices):
+    reach = np.zeros(3)
+    for (p, q, mu, ab), M in extremal_matrices.items():
+        ctx, jp = QContext(p, q, mu), JanowskiParams(*ab)
+        if jp.B > -0.25:
+            continue  # outside the bound's hypothesis
+        values = [third_functional_value(NormalizedMember(ctx, TruncSeries(p, row))) for row in M]
+        reach = np.maximum(reach, np.array(values) / third_functional_bound(ctx, jp))
+    ok = report(
+        "2d",
+        reach[0] < 0.217 and reach[1] == 0.0 and reach[2] < 0.471,
+        f"w = z, z^2, z^3 reach at most {reach[0]:.4f}, {reach[1]:.4f}, {reach[2]:.4f} "
+        "of the third-functional bound for B <= -1/4",
+    )
     assert ok
 
 

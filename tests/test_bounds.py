@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -29,7 +28,7 @@ from qstarlike import (
     third_functional_bound,
     third_functional_value,
 )
-from qstarlike.bounds import psi_values, write_csv
+from qstarlike.bounds import psi_values
 from qstarlike.cli import AB_GRID
 
 CTX = QContext(1, 0.5, 0.0)
@@ -341,13 +340,3 @@ class TestMajorant:
             bound = tail_bound(f.series, 0.5, coeff=c, growth=s)
             assert 0 < bound < 1e-3
 
-
-class TestCsv:
-    def test_formatting(self):
-        buf = io.StringIO()
-        rows = [{"q": 0.3, "bound": 1.0 / 3.0, "n": 1}]
-        write_csv(rows, buf, ["q", "bound", "n"])
-        text = buf.getvalue()
-        assert text.splitlines()[0] == "q,bound,n"
-        assert "0.333333333333333" in text
-        assert "," in text and ";" not in text

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import mpmath as mp
@@ -117,6 +118,24 @@ class TestBoundsTable:
         assert status == 2 and out == ""
         assert err.startswith("error:") and "corpus order 1" in err and "--N 3" in err
 
+    def test_overflowing_bound_is_input_error(self, capsys):
+        # from n = 166 on the bounds of this point exceed the double range
+        status, out, err = run_cli(
+            capsys,
+            "bounds-table",
+            "--N", "300", "--p", "3", "--q", "0.3", "--mu", "0", "--A", "1", "--B", "-1",
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and "n = 166" in err and "p=3, q=0.3" in err
+
+
+class TestCsv:
+    def test_formatting(self, capsys):
+        rows = [{"q": 0.3, "bound": 1.0 / 3.0, "n": 1}]
+        cli._emit_table(argparse.Namespace(format="csv", output_path=None), rows)
+        text = capsys.readouterr().out
+        assert text.splitlines() == ["q,bound,n", "0.3,0.333333333333333,1"]
+
 
 class TestCheck:
     def test_monomial_passes_all_three(self, capsys, tmp_path):
@@ -207,6 +226,17 @@ class TestGenerate:
         row = json.loads(lines[0])
         assert set(row) == {"seed", "w", "coeffs"}
         assert len(row["coeffs"]) == 7
+
+    def test_overflowing_member_is_input_error(self, capsys, tmp_path):
+        # member coefficients of this point overflow at order 167, and a
+        # corpus with non-finite entries is one load_corpus rejects
+        dest = tmp_path / "c.jsonl"
+        argv = ("generate", "--N", "400", "--p", "3", "--q", "0.3", "--A", "1", "--B", "-1")
+        for extra in ((), ("--out", str(dest))):
+            status, out, err = run_cli(capsys, *argv, *extra)
+            assert status == 2 and out == ""
+            assert err.startswith("error:") and "a_(p+167)" in err
+        assert not dest.exists()
 
 
 class TestFsSweep:

@@ -264,14 +264,22 @@ class TestBernardi:
         with pytest.raises(ValueError):
             BernardiParams(-1.0, CTX)
 
-    def test_rejects_noninteger_eta_by_default(self):
-        bp = BernardiParams(0.5, CTX)
-        f = member(CTX, [0.5])
-        with pytest.raises(ValueError):
-            bernardi_jackson(f, bp, 0.3)
-        # opting in uses principal powers
-        val = bernardi_jackson(f, bp, 0.3, allow_noninteger_eta=True)
-        assert np.isfinite(val.real)
+    @pytest.mark.parametrize("eta", [0.5, 2.5])
+    def test_noninteger_eta_matches_series(self, eta):
+        # principal powers are exact along each ray q^k z, negative real z included
+        for p in (1, 2):
+            ctx = QContext(p, 0.5, 0.0)
+            bp = BernardiParams(eta, ctx)
+            f = member(ctx, [0.5, -0.2j, 0.1])
+            series = bernardi_series(f, bp)
+            for z in (0.3, -0.4, 0.2 - 0.5j, -0.6 + 0.1j):
+                assert bernardi_jackson(f, bp, z) == pytest.approx(evaluate(series, z), rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [-0.5, -0.25])
+    def test_rejects_eta_plus_p_below_one(self, eta):
+        # the terms decay like q^(k(eta+p)), so the cutoff would truncate the sum
+        with pytest.raises(ValueError, match="bernardi_series"):
+            bernardi_jackson(member(CTX, [0.5]), BernardiParams(eta, CTX), 0.3)
 
     def test_jackson_fixes_monomial(self):
         # the q-integral of t^(eta+p-1) is z^(eta+p)/[eta+p,q]; the prefactor
