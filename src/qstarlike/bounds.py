@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .classify import JanowskiParams
-from .operators import bernardi_factors, lambda_coeff, lambda_table
-from .qarith import QContext, q_number, q_numbers, q_numbers_real
+from .operators import _lambda_row, bernardi_factors, lambda_coeff, lambda_table
+from .qarith import QContext, _prefix, q_number, q_numbers, q_numbers_real
 from .series import NormalizedMember
 
 __all__ = [
@@ -55,10 +55,14 @@ def psi(n: int, ctx: QContext) -> float:
 
 
 def psi_values(ctx: QContext, order: int) -> np.ndarray:
-    """psi_1 .. psi_order from one q-number table."""
-    q, p = ctx.q, ctx.p
-    qn = q_numbers(max(p, order), q)
-    return qn[p] / (q**p * qn[1 : order + 1])
+    """psi_1 .. psi_order from one q-number table, read-only and shared."""
+    return _prefix(_psi_row, (ctx.p, ctx.q), order)
+
+
+def _psi_row(pq: tuple[int, float], size: int) -> np.ndarray:
+    p, q = pq
+    qn = q_numbers(max(p, size), q)
+    return qn[p] / (q**p * qn[1 : size + 1])
 
 
 def coeff_bound(n: int, ctx: QContext, jp: JanowskiParams) -> float:
@@ -66,37 +70,45 @@ def coeff_bound(n: int, ctx: QContext, jp: JanowskiParams) -> float:
 
     n = 1: (A-B) psi_1 / Lambda_(p+1); for n >= 2 the same with the product
     prod_(t<n) (1 + (A-B) psi_t), each factor being 1 + (A-B) psi_t since
-    [p,q](A-B) / ([p+t,q] - [p,q]) = (A-B) psi_t.
+    [p,q](A-B) / ([p+t,q] - [p,q]) = (A-B) psi_t.  Entry n of coeff_bounds,
+    so it raises the same ValueError when the bound overflows.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    n = int(n)
-    span = jp.A - jp.B
-    psis = psi_values(ctx, n)
-    # an accumulate, not a reduction, so the factors apply strictly left to right
-    chain = np.empty(n)
-    chain[0] = span * psis[-1] / lambda_table(ctx, n).values[-1]
-    chain[1:] = 1.0 + span * psis[:-1]
-    return float(np.multiply.accumulate(chain)[-1])
+    return float(coeff_bounds(ctx, jp, int(n))[-1])
 
 
 def coeff_bounds(ctx: QContext, jp: JanowskiParams, order: int) -> np.ndarray:
-    """coeff_bound(n) for n = 1 .. order, equal to it bit for bit.
+    """coeff_bound(n) for n = 1 .. order, read-only and shared.
 
     Entry n starts at (A-B) psi_n / Lambda_n and takes the factors
-    1 + (A-B) psi_t in the order t = 1, 2, ..., n-1, as coeff_bound does.
-    Raises ValueError, naming the first such n, when a bound overflows.
+    1 + (A-B) psi_t in the order t = 1, 2, ..., n-1, strictly left to right.
+    Raises ValueError, naming the first such n, when a bound (or Lambda)
+    overflows.
     """
+    out = _prefix(_bound_row, (ctx, jp), order)
+    if out.size and not math.isfinite(out[-1]):
+        n = int(np.argmin(np.isfinite(out))) + 1
+        raise ValueError(f"the coefficient bound overflows at n = {n} for {ctx}, {jp}")
+    return out
+
+
+def _bound_row(key: tuple[QContext, JanowskiParams], size: int) -> np.ndarray:
+    """coeff_bound(1 .. size), with every entry from the first non-finite
+    one on (an overflowing bound, or NaN where Lambda overflowed) set to
+    inf, so that a prefix is finite exactly when its last entry is."""
+    ctx, jp = key
     span = jp.A - jp.B
-    psis = psi_values(ctx, order)
+    psis = psi_values(ctx, size)
+    # the raw row: lambda_table refuses a Lambda that overflows past the request
+    lam = _prefix(_lambda_row, ctx, size)
     with np.errstate(over="ignore"):
-        out = span * psis / lambda_table(ctx, order).values
+        out = span * psis / lam
         for t, factor in enumerate((1.0 + span * psis[:-1]).tolist(), start=1):
             out[t:] *= factor
-    finite = np.isfinite(out)
+    finite = np.isfinite(out) & np.isfinite(lam)
     if not finite.all():
-        n = int(np.argmin(finite)) + 1
-        raise ValueError(f"the coefficient bound overflows at n = {n} for {ctx}, {jp}")
+        out[int(np.argmin(finite)) :] = math.inf
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import LambdaConvention, QContext, q_number_real, q_numbers, q_numbers_real
+from .qarith import LambdaConvention, QContext, _prefix, q_number_real, q_numbers, q_numbers_real
 from .series import NormalizedMember, TruncSeries, evaluate, hadamard
 
 __all__ = [
@@ -66,31 +66,51 @@ def lambda_coeff(n: int, ctx: QContext) -> float:
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Precomputed kernel coefficients Lambda_(p+1) .. Lambda_(p+N), all positive."""
+    """Precomputed kernel coefficients Lambda_(p+1) .. Lambda_(p+N), all positive.
+
+    values is read-only.  A one-dimensional float array whose memory no one
+    can write to (a shared table) is kept as given, anything else is copied.
+    """
 
     ctx: QContext
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, copy=True).reshape(-1)
+        arr = np.asarray(self.values, dtype=float)
+        owner = arr if arr.base is None else arr.base
+        frozen = isinstance(owner, np.ndarray) and not owner.flags.writeable
+        if arr.ndim != 1 or arr.flags.writeable or not frozen:
+            arr = arr.reshape(-1).copy()
+            arr.setflags(write=False)
         if arr.size and not (arr > 0.0).all():
             raise ValueError("kernel coefficients must be positive")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
 
 def lambda_table(ctx: QContext, order: int) -> LambdaTable:
-    """Lambda values for offsets n = 1 .. order (may be shared across threads).
+    """Lambda values for offsets n = 1 .. order, read-only and shared.
 
     One cumulative product of the factor ratios [mu+j,q]/[j,q], j = 1 .. m
     (m = n, or n + p under PAPER_LITERAL): the separate Pochhammer and
-    factorial products overflow for large m, the factorwise ratios never do
-    (and at mu = 0 every factor is exactly 1).
+    factorial products overflow long before the factorwise ratios do (and
+    at mu = 0 every factor is exactly 1).  Raises ValueError, naming the
+    first such n, when a coefficient overflows (large mu with q near 1).
     """
+    values = _prefix(_lambda_row, ctx, order)
+    if values.size and values[-1] == math.inf:
+        n = int(np.argmax(values == math.inf)) + 1
+        raise ValueError(f"the kernel coefficient Lambda overflows at n = {n} for {ctx}")
+    return LambdaTable(ctx, values)
+
+
+def _lambda_row(ctx: QContext, size: int) -> np.ndarray:
+    """Lambda at offsets 1 .. size.  Every factor is finite and positive, so
+    once an entry overflows to inf so do all after it."""
     shift = ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else 0
-    m = int(order) + shift
+    m = size + shift
     ratios = q_numbers_real(ctx.mu + np.arange(1.0, m + 1), ctx.q) / q_numbers(m, ctx.q)[1:]
-    return LambdaTable(ctx, np.multiply.accumulate(ratios)[shift:])
+    with np.errstate(over="ignore"):
+        return np.multiply.accumulate(ratios)[shift:]
 
 
 def phi_kernel(ctx: QContext, order: int) -> TruncSeries:

@@ -14,6 +14,7 @@ but exact and cheap, which is what an oracle needs.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import os
 from dataclasses import dataclass
@@ -54,6 +55,8 @@ class SchwarzPoly:
         cs = tuple(complex(c) for c in self.coeffs)
         if not cs:
             raise ValueError("need at least one coefficient")
+        if not all(cmath.isfinite(c) for c in cs):
+            raise ValueError(f"Schwarz coefficients must be finite, got {cs}")
         total = sum(abs(c) for c in cs)
         if total > 1.0 + _CERT_TOL:
             raise ValueError(f"certificate violated: sum |w_j| = {total} > 1")
@@ -115,6 +118,8 @@ class JanowskiExpansion:
 
     def __post_init__(self) -> None:
         arr = np.array(self.d, dtype=complex, copy=True).reshape(-1)
+        if not np.isfinite(arr).all():
+            raise ValueError("Janowski coefficients must be finite")
         if _exceeds_rotation_bound(arr, self.jp):
             raise ValueError("rotation-lemma bound |d_n| <= A - B violated")
         arr.setflags(write=False)

@@ -5,10 +5,15 @@ The scalar functions operate on plain Python floats at double precision
 and `q_numbers_real` are their vectorized forms, equal to them bit for bit.
 All functions are pure and safe to call concurrently from any number of
 threads.
+
+The tables that depend only on q or a context ([k,q] here; Lambda, psi and
+the coefficient bounds in `operators` and `bounds`) are built once per
+process through `_prefix`, a bounded memo of read-only prefix tables.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +43,45 @@ class LambdaConvention(enum.Enum):
 
     LIMIT_CONSISTENT = "limit"
     PAPER_LITERAL = "literal"
+
+
+#: Tables the prefix memo keeps (least recently used first out), and the
+#: largest capacity it keeps: at most 64 x 4096 float64 entries, 2 MiB.
+_MEMO_ENTRIES = 64
+_MEMO_CAPACITY = 4096
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _memo_table(build, key, capacity: int) -> np.ndarray:
+    return _frozen(build(key, capacity))
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    # the owner of a view too, so that no one can write to the table's memory
+    if isinstance(table.base, np.ndarray):
+        table.base.setflags(write=False)
+    table.setflags(write=False)
+    return table
+
+
+def _prefix(build, key, n: int) -> np.ndarray:
+    """The first n entries of build(key, size), as a read-only array.
+
+    build(key, size) returns a fresh array of `size` entries, each computed
+    left to right from the entries before it, so the first n entries of a
+    longer table equal the table of n entries bit for bit.  The table is
+    built at the capacity n rounded up to a power of two (at least 16) and
+    memoised on (build, key, capacity); key must be hashable and immutable.
+    A capacity above _MEMO_CAPACITY is built at n entries and not kept.
+    Concurrent callers may both build a missing table; they get equal ones.
+    """
+    if n != int(n) or n < 0:
+        raise ValueError(f"table length must be a nonnegative integer, got {n!r}")
+    n = int(n)
+    capacity = max(16, 1 << (n - 1).bit_length())
+    if capacity > _MEMO_CAPACITY:
+        return _frozen(build(key, n))
+    return _memo_table(build, key, capacity)[:n]
 
 
 def _check_q(q: float) -> float:
@@ -103,18 +147,23 @@ def q_number_real(x: float, q: float) -> float:
 
 
 def q_numbers(m: int, q: float) -> np.ndarray:
-    """[0, q], [1, q], ..., [m, q] as one array.
+    """[0, q], [1, q], ..., [m, q] as one read-only array.
 
     The powers are a cumulative product of q and the q-numbers their
     cumulative sum, the same operations in the same order as q_number, so
     entry k equals q_number(k, q) bit for bit.
     """
-    _check_q(q)
+    q = _check_q(q)
     if m != int(m) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    powers = np.full(int(m), q)
+    return _prefix(_q_number_row, q, int(m) + 1)
+
+
+def _q_number_row(q: float, size: int) -> np.ndarray:
+    """[0, q] .. [size - 1, q]."""
+    powers = np.full(size - 1, q)
     powers[:1] = 1.0
-    out = np.zeros(int(m) + 1)
+    out = np.zeros(size)
     # the ufunc methods: np.cumprod/np.cumsum add microseconds of dispatch
     np.add.accumulate(np.multiply.accumulate(powers), out=out[1:])
     return out

@@ -30,6 +30,7 @@ from qstarlike import (
 )
 from qstarlike.bounds import psi_values
 from qstarlike.cli import AB_GRID
+from qstarlike.qarith import _memo_table
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -165,6 +166,55 @@ class TestCoeffBound:
                     for ab in ((1.0, -1.0), (0.5, -0.5)):
                         v = coeff_bound(3, QContext(p, q, mu), JanowskiParams(*ab))
                         assert v > 0
+
+
+class TestBoundMemo:
+    SIZES = (1, 15, 16, 17, 255, 256, 257, 385)
+
+    @pytest.mark.parametrize(
+        "ctx,jp",
+        [
+            (QContext(2, 0.9, 1.0), JanowskiParams(0.5, -0.5)),
+            (QContext(1, 0.99, 2.5, LambdaConvention.PAPER_LITERAL), JanowskiParams(1.0, 0.0)),
+        ],
+    )
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_cached_tables_equal_scalar_folds(self, ctx, jp, order):
+        top = max(self.SIZES)
+        ref_psi = [scalar_psi(n, ctx) for n in range(1, top + 1)]
+        ref_bounds = scalar_coeff_bounds(ctx, jp, top)
+        _memo_table.cache_clear()
+        for n in sorted(self.SIZES, reverse=order == "descending"):
+            assert psi_values(ctx, n).tolist() == ref_psi[:n], n
+            assert coeff_bounds(ctx, jp, n).tolist() == ref_bounds[:n], n
+            assert coeff_bound(n, ctx, jp) == ref_bounds[n - 1]
+
+    def test_tables_are_read_only(self):
+        for table in (psi_values(CTX, 8), coeff_bounds(CTX, JP, 8)):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_overflowing_bound_raises_everywhere(self):
+        # the bounds of this point pass the double range at n = 166
+        ctx, jp = QContext(3, 0.3, 0.0), JanowskiParams(1.0, -1.0)
+        _memo_table.cache_clear()
+        assert coeff_bound(165, ctx, jp) == 5.311307917949516e307
+        assert np.isfinite(coeff_bounds(ctx, jp, 165)).all()
+        for call in (
+            lambda: coeff_bound(166, ctx, jp),
+            lambda: coeff_bounds(ctx, jp, 200),
+            lambda: bernardi_coeff_bound(166, BernardiParams(1.0, ctx), jp),
+        ):
+            with pytest.raises(ValueError, match="n = 166"):
+                call()
+        assert coeff_bound(165, ctx, jp) == 5.311307917949516e307
+
+    def test_overflowing_lambda_is_not_a_zero_bound(self):
+        # Lambda of this point overflows at n = 308 (see test_operators)
+        ctx = QContext(1, 1.0 - 1e-6, 1000.0)
+        assert np.isfinite(coeff_bounds(ctx, JP, 307)).all()
+        with pytest.raises(ValueError, match="n = 308"):
+            coeff_bounds(ctx, JP, 308)
 
 
 class TestFeketeSzego:

@@ -322,6 +322,13 @@ class TestLimitCompare:
                 reference = max(reference, abs(lam - classical) / classical)
         assert json.loads(out)["max_rel_deviation"] == pytest.approx(float(reference), rel=1e-9)
 
+    def test_overflowing_kernel_is_input_error(self, capsys):
+        # Lambda at mu = 1000 and the default q = 1 - 1e-6 passes the double
+        # range at n = 308; the deviation used to print as NaN with status 0
+        status, out, err = run_cli(capsys, "limit-compare", "--mu", "1000", "--N", "400")
+        assert status == 2 and out == ""
+        assert err.startswith("error:") and "n = 308" in err
+
     def test_exactly_zero_at_mu_zero(self, capsys):
         status, out, _ = run_cli(capsys, "limit-compare", "--p", "3", "--mu", "0", "--N", "64")
         assert status == 0

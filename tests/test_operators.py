@@ -6,6 +6,7 @@ from qstarlike import (
     BernardiParams,
     JanowskiParams,
     LambdaConvention,
+    LambdaTable,
     NormalizedMember,
     QContext,
     TruncSeries,
@@ -29,6 +30,7 @@ from qstarlike import (
 from qstarlike.cli import MU_GRID, P_GRID, Q_GRID
 from qstarlike.operators import JACKSON_CUTOFF
 from qstarlike.oracle import _mp_lambda
+from qstarlike.qarith import _memo_table
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -174,6 +176,61 @@ class TestCoefficientTable:
             ref = np.array([float(_mp_lambda(n, ctx, q)) for n in range(1, 129)])
         rel = np.abs(lambda_table(ctx, 128).values - ref) / ref
         assert rel.max() <= 1e-13
+
+
+class TestLambdaMemo:
+    @pytest.mark.parametrize(
+        "ctx",
+        [QContext(2, 0.9, mu, conv) for mu in (1.0, 2.5) for conv in LambdaConvention]
+        + [QContext(3, 1.0 - 1e-6, -0.5, LambdaConvention.PAPER_LITERAL)],
+    )
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_cached_tables_equal_scalar_fold(self, ctx, order):
+        sizes = (1, 15, 16, 17, 255, 256, 257, 385)
+        ref = scalar_lambdas(ctx, max(sizes))
+        _memo_table.cache_clear()
+        for n in sorted(sizes, reverse=order == "descending"):
+            assert lambda_table(ctx, n).values.tolist() == ref[:n], n
+            assert lambda_coeff(n, ctx) == ref[n - 1]
+
+    def test_values_are_read_only_and_shared(self):
+        ctx = QContext(2, 0.7, 2.5)
+        first, second = lambda_table(ctx, 8).values, lambda_table(ctx, 8).values
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert np.shares_memory(first, second)
+
+    def test_input_that_can_change_is_copied(self):
+        values = np.ones(3)
+        view = values.view()
+        view.setflags(write=False)
+        for given in (values, view):
+            table = LambdaTable(CTX, given)
+            values[0] = 5.0
+            assert table.values.tolist() == [1.0, 1.0, 1.0]
+            with pytest.raises(ValueError):
+                table.values[0] = 2.0
+            values[0] = 1.0
+
+    @pytest.mark.parametrize("conv", list(LambdaConvention))
+    def test_shared_row_is_not_copied(self, conv):
+        table = lambda_table(QContext(2, 0.7, 2.5, conv), 8)
+        assert LambdaTable(table.ctx, table.values).values is table.values
+
+    def test_overflow_is_an_error_not_inf(self):
+        # the classical limit is binomial(n + mu, n): at mu = 1000 it passes
+        # 1.8e308 at n = 308; the capacity-512 table overflows quietly
+        ctx = QContext(1, 1.0 - 1e-6, 1000.0)
+        assert np.isfinite(lambda_table(ctx, 307).values).all()
+        with pytest.raises(ValueError, match="n = 308"):
+            lambda_table(ctx, 308)
+        with pytest.raises(ValueError, match="n = 308"):
+            lambda_table(QContext(1, 1.0 - 1e-6, 1000.0), 400)
+
+    def test_rejects_negative_order(self):
+        for conv in LambdaConvention:
+            with pytest.raises(ValueError):
+                lambda_table(QContext(2, 0.5, 1.0, conv), -1)
 
 
 class TestApplyL:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qstarlike import (
+    JanowskiExpansion,
     JanowskiParams,
     QContext,
     SchwarzPoly,
@@ -100,6 +101,12 @@ class TestSchwarzPoly:
     def test_padded(self):
         assert SchwarzPoly((0.5,)).padded(3) == (0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan"))])
+    def test_rejects_non_finite_coefficient(self, bad):
+        # NaN compares False against the certificate, so it needs its own check
+        with pytest.raises(ValueError, match="finite"):
+            SchwarzPoly((0.1, bad))
+
 
 class TestRandomSchwarz:
     def test_invariant_always_holds(self):
@@ -136,6 +143,11 @@ class TestJanowskiExpand:
     def test_zero_map(self):
         d = janowski_expand(SchwarzPoly((0.0,)), JP, 6).d
         assert np.allclose(d, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(float("inf"), 0.0)])
+    def test_expansion_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JanowskiExpansion(np.array([0.5, bad]), JP)
 
     def test_leading_two_coefficients(self):
         rng = np.random.default_rng(77)

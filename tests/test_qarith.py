@@ -1,4 +1,9 @@
 
+import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,8 +14,10 @@ from qstarlike import (
     q_gamma_int,
     q_number,
     q_number_real,
+    q_numbers,
     q_pochhammer,
 )
+from qstarlike.qarith import _MEMO_CAPACITY, _MEMO_ENTRIES, _memo_table
 
 
 class TestQNumber:
@@ -194,3 +201,61 @@ def test_q_number_real_accuracy_against_log_formula():
         for q in (0.3, 0.9, 0.999):
             ref = float((1 - mpmath.mpf(q) ** x) / (1 - mpmath.mpf(q)))
             assert q_number_real(x, q) == pytest.approx(ref, rel=1e-13)
+
+
+#: Table lengths around the memo's capacity steps (16, 256, 512).
+MEMO_SIZES = (1, 15, 16, 17, 255, 256, 257, 385)
+
+
+class TestPrefixMemo:
+    @pytest.mark.parametrize("q", [0.3, 0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_cached_q_numbers_equal_scalar_loop(self, q, order):
+        ref = [q_number(k, q) for k in range(max(MEMO_SIZES) + 1)]
+        _memo_table.cache_clear()
+        for m in sorted(MEMO_SIZES, reverse=order == "descending"):
+            assert q_numbers(m, q).tolist() == ref[: m + 1], m
+
+    def test_returned_table_is_read_only(self):
+        table = q_numbers(8, 0.5)
+        with pytest.raises(ValueError):
+            table[1] = 2.0
+        assert q_numbers(8, 0.5)[1] == 1.0
+
+    def test_memo_stays_within_its_bound(self):
+        _memo_table.cache_clear()
+        for q in np.linspace(0.01, 0.99, 200).tolist():
+            q_numbers(40, q)
+            assert _memo_table.cache_info().currsize <= _MEMO_ENTRIES
+
+    def test_request_above_the_capacity_ceiling_is_not_retained(self):
+        _memo_table.cache_clear()
+        table = q_numbers(_MEMO_CAPACITY, 0.7)
+        assert _memo_table.cache_info().currsize == 0
+        assert not table.flags.writeable
+        assert table[:_MEMO_CAPACITY].tolist() == q_numbers(_MEMO_CAPACITY - 1, 0.7).tolist()
+
+    def test_threads_on_overlapping_keys_agree(self):
+        keys = list(itertools.product((0.3, 0.5, 0.9), MEMO_SIZES))
+        ref = {key: q_numbers(key[1], key[0]).tolist() for key in keys}
+
+        def hammer(shift):
+            got = []
+            for i in range(6 * len(keys)):
+                if i % len(keys) == shift:
+                    _memo_table.cache_clear()
+                q, m = keys[(i * (shift + 1)) % len(keys)]
+                got.append(((q, m), q_numbers(m, q).tolist()))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(hammer, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4
+        for got in results:
+            for key, values in got:
+                assert values == ref[key], key
