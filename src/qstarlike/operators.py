@@ -33,7 +33,7 @@ __all__ = [
 #: Jackson sums stop once q^k drops below this, or at an explicit term cap.
 JACKSON_CUTOFF = 1e-12
 
-#: Jackson terms evaluated per array pass; bounds the memory as q -> 1-.
+#: Most Jackson terms evaluated per array pass; bounds the memory as q -> 1-.
 _JACKSON_CHUNK = 1 << 14
 
 
@@ -200,11 +200,15 @@ def bernardi_jackson(
     q = ctx.q
     exponent = int(eta) - 1 if integral_eta else eta - 1.0
     remaining = math.inf if terms is None else int(terms)
+    # the cutoff keeps q^k for k <= log(cutoff)/log(q); one term more lets the
+    # first pass see where the kept terms stop, and should rounding in the
+    # repeated products keep that one too, the loop goes on
+    wanted = math.floor(math.log(JACKSON_CUTOFF) / math.log(q)) + 2
     total = 0.0 + 0.0j
     first = 1.0
     while remaining > 0:
         # q^k by repeated multiplication, continuing from the previous chunk
-        size = int(min(remaining, _JACKSON_CHUNK))
+        size = int(min(remaining, _JACKSON_CHUNK, wanted))
         steps = np.full(size, q)
         steps[0] = first
         qk = np.multiply.accumulate(steps)
@@ -214,6 +218,7 @@ def bernardi_jackson(
         if qk.size < size:
             break
         remaining -= size
+        wanted = wanted - size if wanted > size else _JACKSON_CHUNK
         first = qk[-1] * q
     jackson = z * (1.0 - q) * total
     if integral_eta:

@@ -15,8 +15,10 @@ but exact and cheap, which is what an oracle needs.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import mpmath
@@ -285,15 +287,31 @@ def _mp_qnum(x, q):
     return (1 - q**x) / (1 - q)
 
 
+#: Running products the mpmath Lambda keeps, least recently used out first.
+_MP_PRODUCTS = 16
+_mp_products_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_MP_PRODUCTS)
+def _mp_products(mu: float, q, prec: int) -> tuple[list, list]:
+    """The running products prod_(j<m) [mu+1+j,q] and prod_(j<m) [1+j,q] for
+    m = 0, 1, ..., as long as `_mp_lambda` has asked, at `prec` bits; they
+    grow under _mp_products_lock."""
+    return [mpmath.mpf(1)], [mpmath.mpf(1)]
+
+
 def _mp_lambda(n: int, ctx: QContext, q):
-    mu = mpmath.mpf(ctx.mu)
+    """Lambda at offset n at the current mpmath precision: the left folds of
+    the numerator and denominator q-numbers, one division at the end."""
     m = n + ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else n
-    num = mpmath.mpf(1)
-    den = mpmath.mpf(1)
-    for j in range(m):
-        num *= _mp_qnum(mu + 1 + j, q)
-        den *= _mp_qnum(mpmath.mpf(1) + j, q)
-    return num / den
+    num, den = _mp_products(float(ctx.mu), q, mpmath.mp.prec)
+    with _mp_products_lock:
+        if len(num) <= m:
+            mu = mpmath.mpf(ctx.mu)
+            for j in range(len(num) - 1, m):
+                num.append(num[j] * _mp_qnum(mu + 1 + j, q))
+                den.append(den[j] * _mp_qnum(mpmath.mpf(1) + j, q))
+    return num[m] / den[m]
 
 
 def _mp_ratio(fc, gc, order):

@@ -13,8 +13,9 @@ process through `_prefix`, a bounded memo of read-only prefix tables.
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,17 @@ class LambdaConvention(enum.Enum):
     PAPER_LITERAL = "literal"
 
 
-#: Tables the prefix memo keeps (least recently used first out), and the
-#: largest capacity it keeps: at most 64 x 4096 float64 entries, 2 MiB.
-_MEMO_ENTRIES = 64
+#: The bytes the prefix memo may hold, and the largest table it keeps.
+_MEMO_BYTES = 2 << 20
 _MEMO_CAPACITY = 4096
 
-
-@functools.lru_cache(maxsize=_MEMO_ENTRIES)
-def _memo_table(build, key, capacity: int) -> np.ndarray:
-    return _frozen(build(key, capacity))
+#: (build, key) -> [table, tick of its last use], and the bytes held.  A hit
+#: hashes its key once and stamps the entry without the lock (a lost stamp
+#: only reorders eviction); the lock guards inserts, evictions and counters.
+_memo: dict = {}
+_memo_stats = {"bytes": 0, "builds": 0}
+_memo_lock = threading.Lock()
+_memo_clock = itertools.count()
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -64,24 +67,64 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
+def _held_bytes(table: np.ndarray) -> int:
+    return table.base.nbytes if isinstance(table.base, np.ndarray) else table.nbytes
+
+
+def _memo_clear() -> None:
+    """Drop every memoised table and zero the counters."""
+    with _memo_lock:
+        _memo.clear()
+        _memo_stats.update(bytes=0, builds=0)
+
+
+def _memo_info() -> dict:
+    """Tables and bytes held, and the tables built since the last clear."""
+    with _memo_lock:
+        return {"tables": len(_memo), **_memo_stats}
+
+
 def _prefix(build, key, n: int) -> np.ndarray:
     """The first n entries of build(key, size), as a read-only array.
 
     build(key, size) returns a fresh array of `size` entries, each computed
     left to right from the entries before it, so the first n entries of a
-    longer table equal the table of n entries bit for bit.  The table is
-    built at the capacity n rounded up to a power of two (at least 16) and
-    memoised on (build, key, capacity); key must be hashable and immutable.
-    A capacity above _MEMO_CAPACITY is built at n entries and not kept.
-    Concurrent callers may both build a missing table; they get equal ones.
+    longer table equal the table of n entries bit for bit.  The memo keeps
+    one table per (build, key), built at the first request rounded up to a
+    power of two (at least 16) and rebuilt at the next such capacity when a
+    longer prefix is asked for; key must be hashable and immutable.  Once
+    the tables pass _MEMO_BYTES, the least recently used go until a quarter
+    of the bound is free.  A capacity above _MEMO_CAPACITY is built at n
+    entries and not kept.  Concurrent callers may both build a missing
+    table; they get equal ones.
     """
     if n != int(n) or n < 0:
         raise ValueError(f"table length must be a nonnegative integer, got {n!r}")
     n = int(n)
+    slot = (build, key)
+    entry = _memo.get(slot)
+    if entry is not None and entry[0].size >= n:
+        entry[1] = next(_memo_clock)
+        return entry[0][:n]
     capacity = max(16, 1 << (n - 1).bit_length())
     if capacity > _MEMO_CAPACITY:
         return _frozen(build(key, n))
-    return _memo_table(build, key, capacity)[:n]
+    # built outside the lock: a build may read other tables through _prefix
+    table = _frozen(build(key, capacity))
+    with _memo_lock:
+        _memo_stats["builds"] += 1
+        entry = _memo.get(slot)
+        if entry is None or entry[0].size < table.size:
+            if entry is not None:
+                _memo_stats["bytes"] -= _held_bytes(entry[0])
+            _memo[slot] = [table, next(_memo_clock)]
+            _memo_stats["bytes"] += _held_bytes(table)
+        if _memo_stats["bytes"] > _MEMO_BYTES:
+            for victim in sorted(_memo, key=lambda s: _memo[s][1]):
+                if _memo_stats["bytes"] <= _MEMO_BYTES * 3 // 4:
+                    break
+                _memo_stats["bytes"] -= _held_bytes(_memo.pop(victim)[0])
+    return table[:n]
 
 
 def _check_q(q: float) -> float:

@@ -6,15 +6,19 @@ import pytest
 
 from qstarlike import (
     BernardiParams,
+    SamplePoleError,
     JanowskiParams,
     LambdaConvention,
     NormalizedMember,
     QContext,
     SchwarzPoly,
     TruncSeries,
+    apply_L,
     bernardi_coeff_bound,
     bernardi_fekete_bound,
+    bernardi_jackson,
     bernardi_series,
+    boundary_sample_test,
     coeff_bound,
     coeff_bounds,
     fekete_szego_bound,
@@ -29,8 +33,8 @@ from qstarlike import (
     third_functional_value,
 )
 from qstarlike.bounds import psi_values
-from qstarlike.cli import AB_GRID
-from qstarlike.qarith import _memo_table
+from qstarlike.cli import AB_GRID, MU_GRID, P_GRID
+from qstarlike.qarith import _memo_clear, _memo_info
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -183,7 +187,7 @@ class TestBoundMemo:
         top = max(self.SIZES)
         ref_psi = [scalar_psi(n, ctx) for n in range(1, top + 1)]
         ref_bounds = scalar_coeff_bounds(ctx, jp, top)
-        _memo_table.cache_clear()
+        _memo_clear()
         for n in sorted(self.SIZES, reverse=order == "descending"):
             assert psi_values(ctx, n).tolist() == ref_psi[:n], n
             assert coeff_bounds(ctx, jp, n).tolist() == ref_bounds[:n], n
@@ -197,7 +201,7 @@ class TestBoundMemo:
     def test_overflowing_bound_raises_everywhere(self):
         # the bounds of this point pass the double range at n = 166
         ctx, jp = QContext(3, 0.3, 0.0), JanowskiParams(1.0, -1.0)
-        _memo_table.cache_clear()
+        _memo_clear()
         assert coeff_bound(165, ctx, jp) == 5.311307917949516e307
         assert np.isfinite(coeff_bounds(ctx, jp, 165)).all()
         for call in (
@@ -208,6 +212,37 @@ class TestBoundMemo:
             with pytest.raises(ValueError, match="n = 166"):
                 call()
         assert coeff_bound(165, ctx, jp) == 5.311307917949516e307
+
+    def test_deep_order_working_set_is_built_once(self):
+        # the tables one N = 128 member, its bounds and its transforms ask
+        # for, over 27 contexts x 4 (A,B): the second pass reads them all
+        order = 128
+        w = SchwarzPoly((0.4, -0.3j))
+        grid = [
+            (QContext(p, q, mu), JanowskiParams(*ab))
+            for p, q, mu, ab in itertools.product(P_GRID, (0.5, 0.7, 0.9), MU_GRID, AB_GRID)
+        ]
+
+        def one_pass():
+            for ctx, jp in grid:
+                f = schwarz_to_member(w, ctx, jp, order=order)
+                bp = BernardiParams(1.0, ctx)
+                apply_L(f)
+                for n in range(1, order + 1):
+                    coeff_bound(n, ctx, jp)
+                member_majorant(ctx, jp)
+                bernardi_jackson(f, bp, 0.5)
+                bernardi_series(f, bp)
+                try:
+                    boundary_sample_test(f, jp)
+                except SamplePoleError:
+                    pass
+
+        _memo_clear()
+        one_pass()
+        built = _memo_info()["builds"]
+        one_pass()
+        assert _memo_info()["builds"] == built
 
     def test_overflowing_lambda_is_not_a_zero_bound(self):
         # Lambda of this point overflows at n = 308 (see test_operators)

@@ -366,6 +366,28 @@ class TestBernardi:
         assert status == 2
 
 
+class TestReadmeExamples:
+    """stdout of README examples on the series z + 0.1 z^2, pinned byte for byte."""
+
+    def test_bernardi(self, capsys, tmp_path):
+        path = write_series(tmp_path, "f.json", 1, [1.0, 0.1])
+        status, out, _ = run_cli(capsys, "bernardi", "--in", path, "--eta", "1", "--p", "1", "--q", "0.5")
+        assert status == 0
+        assert out == '{"lead": 1, "coeffs": [[1.0, 0.0], [0.08571428571428572, 0.0]]}\n'
+
+    def test_check(self, capsys, tmp_path):
+        path = write_series(tmp_path, "f.json", 1, [1.0, 0.1])
+        status, out, _ = run_cli(
+            capsys, "check", "--in", path, "--p", "1", "--q", "0.5", "--mu", "0", "--A", "1", "--B", "-1"
+        )
+        assert status == 0
+        assert out == (
+            '{"sufficiency": {"kind": "SufficiencyPass", "margin": 1.7, "witness": null}, '
+            '"boundary": {"kind": "BoundaryPass", "margin": 0.9698002859885244, "witness": null}, '
+            '"convolution": {"kind": "ConvolutionPass", "margin": 0.9049999000000001, "witness": null}}\n'
+        )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from qstarlike import (
 from qstarlike.cli import MU_GRID, P_GRID, Q_GRID
 from qstarlike.operators import JACKSON_CUTOFF
 from qstarlike.oracle import _mp_lambda
-from qstarlike.qarith import _memo_table
+from qstarlike.qarith import _memo_clear
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -72,6 +74,35 @@ def scalar_jackson(f, bp, z):
         total += qk * t ** (eta - 1) * evaluate(f.series, t)
         qk *= q
     return q_number_real(eta + bp.ctx.p, q) * (z * (1.0 - q) * total) / z**eta
+
+
+def chunked_jackson(f, bp, z, terms=None):
+    """Reference: bernardi_jackson with every array pass 16,384 powers q^k
+    long, filtered to q^k >= JACKSON_CUTOFF afterwards."""
+    ctx, q, eta = bp.ctx, bp.ctx.q, float(bp.eta)
+    exponent = int(eta) - 1 if eta.is_integer() else eta - 1.0
+    z = complex(z)
+    remaining = math.inf if terms is None else int(terms)
+    total, first = 0.0 + 0.0j, 1.0
+    while remaining > 0:
+        size = int(min(remaining, 1 << 14))
+        steps = np.full(size, q)
+        steps[0] = first
+        qk = np.multiply.accumulate(steps)
+        qk = qk[qk >= JACKSON_CUTOFF]
+        t = qk * z
+        total += np.sum(qk * t**exponent * evaluate(f.series, t))
+        if qk.size < size:
+            break
+        remaining -= size
+        first = qk[-1] * q
+    zpow = z ** int(eta) if eta.is_integer() else z**eta
+    return q_number_real(eta + ctx.p, q) * (z * (1.0 - q) * total) / zpow
+
+
+#: q^k by repeated products stays >= JACKSON_CUTOFF for k <= 95 at this q,
+#: one term more than floor(log(cutoff) / log(q)) + 1 counts.
+Q_ESTIMATE_SHORT = 0.7476256801637686
 
 
 def member(ctx, tail):
@@ -188,7 +219,7 @@ class TestLambdaMemo:
     def test_cached_tables_equal_scalar_fold(self, ctx, order):
         sizes = (1, 15, 16, 17, 255, 256, 257, 385)
         ref = scalar_lambdas(ctx, max(sizes))
-        _memo_table.cache_clear()
+        _memo_clear()
         for n in sorted(sizes, reverse=order == "descending"):
             assert lambda_table(ctx, n).values.tolist() == ref[:n], n
             assert lambda_coeff(n, ctx) == ref[n - 1]
@@ -386,6 +417,26 @@ class TestBernardi:
         for z in (0.5, -0.3 + 0.4j):
             gap = abs(bernardi_jackson(f, bp, z) - evaluate(bernardi_series(f, bp), z))
             assert gap <= 1e-8
+
+    def test_estimate_short_case_is_one_short(self):
+        q = Q_ESTIMATE_SHORT
+        steps = np.full(200, q)
+        steps[0] = 1.0
+        kept = int(np.count_nonzero(np.multiply.accumulate(steps) >= JACKSON_CUTOFF))
+        assert kept == math.floor(math.log(JACKSON_CUTOFF) / math.log(q)) + 2
+
+    @pytest.mark.parametrize("q", [1e-13, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, Q_ESTIMATE_SHORT])
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.5, 0.25])
+    @pytest.mark.parametrize("terms", [None, 30, 20000])
+    def test_bit_identical_to_fixed_chunks(self, q, eta, terms):
+        # only the powers the cutoff keeps are built, and no kept term is
+        # dropped: at 0.9999 the sum runs to 276,306 terms, past 16 chunks
+        ctx = QContext(1, q, 1.0)
+        bp = BernardiParams(eta, ctx)
+        f = member(ctx, [0.4, 0.15j, -0.1, 0.05])
+        for z in (0.5, -0.3 + 0.4j, 0.35j):
+            got = bernardi_jackson(f, bp, z, terms=terms)
+            assert repr(got) == repr(chunked_jackson(f, bp, z, terms=terms)), z
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("eta", [1.0, 2.0, 5.0])

@@ -1,7 +1,9 @@
 import io
 import itertools
 import operator
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -34,8 +36,16 @@ from qstarlike import (
 from qstarlike.bounds import psi_values
 from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
 from qstarlike.operators import apply_L, lambda_table, q_derivative
-from qstarlike.oracle import _janowski_rows, _mp_members, _schwarz_matrix
-from qstarlike.qarith import q_number
+from qstarlike.oracle import (
+    _MP_PRODUCTS,
+    _janowski_rows,
+    _mp_lambda,
+    _mp_members,
+    _mp_products,
+    _mp_qnum,
+    _schwarz_matrix,
+)
+from qstarlike.qarith import LambdaConvention, q_number
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
@@ -277,6 +287,74 @@ class TestBatchedOracle:
             warnings.simplefilter("error", RuntimeWarning)
             D = _janowski_rows(W, JanowskiParams(1.0, -1.0))
         assert not np.all(np.isfinite(D))
+
+
+def reference_mp_lambda(n, ctx, q):
+    """Lambda at offset n as its own product of n (or n + p) factor pairs."""
+    mu = mpmath.mpf(ctx.mu)
+    m = n + ctx.p if ctx.lambda_convention is LambdaConvention.PAPER_LITERAL else n
+    num = mpmath.mpf(1)
+    den = mpmath.mpf(1)
+    for j in range(m):
+        num *= _mp_qnum(mu + 1 + j, q)
+        den *= _mp_qnum(mpmath.mpf(1) + j, q)
+    return num / den
+
+
+class TestMpLambda:
+    CONTEXTS = [(2, 0.9, 2.5), (3, 0.5, 1.0), (1, 0.99, -0.5)]
+
+    @pytest.mark.parametrize("dps", [30, 40])
+    @pytest.mark.parametrize("conv", list(LambdaConvention))
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_running_product_equals_per_n_product(self, dps, conv, order):
+        ns = sorted(range(1, 37), reverse=order == "descending")
+        _mp_products.cache_clear()
+        for p, q, mu in self.CONTEXTS:
+            ctx = QContext(p, q, mu, conv)
+            with mpmath.workdps(dps):
+                mq = mpmath.mpf(q)
+                for n in ns:
+                    assert _mp_lambda(n, ctx, mq) == reference_mp_lambda(n, ctx, mq), (ctx, n)
+
+    def test_precisions_keep_separate_products(self):
+        ctx = QContext(2, 0.7, 1.0)
+        _mp_products.cache_clear()
+        for dps in (40, 30, 40, 50):
+            with mpmath.workdps(dps):
+                q = mpmath.mpf(ctx.q)
+                assert _mp_lambda(20, ctx, q) == reference_mp_lambda(20, ctx, q), dps
+        assert _mp_products.cache_info().currsize == 3
+
+    def test_threads_growing_one_product_agree(self):
+        # at the default precision: mpmath's precision is process-wide
+        ctx = QContext(2, 0.8, 1.5, LambdaConvention.PAPER_LITERAL)
+        q = mpmath.mpf(ctx.q)
+        ref = {n: reference_mp_lambda(n, ctx, q) for n in range(1, 61)}
+
+        def hammer(shift):
+            return [(n, _mp_lambda(n, ctx, q)) for n in range(1 + shift, 61, 4)]
+
+        _mp_products.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(hammer, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(len(got) for got in results) == 60
+        for got in results:
+            for n, value in got:
+                assert value == ref[n], n
+
+    def test_product_memo_stays_within_its_bound(self):
+        _mp_products.cache_clear()
+        with mpmath.workdps(30):
+            for mu in np.linspace(0.0, 3.0, 3 * _MP_PRODUCTS).tolist():
+                ctx = QContext(1, 0.6, mu)
+                _mp_lambda(8, ctx, mpmath.mpf(ctx.q))
+                assert _mp_products.cache_info().currsize <= _MP_PRODUCTS
 
 
 class TestLemma2:

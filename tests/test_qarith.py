@@ -17,7 +17,7 @@ from qstarlike import (
     q_numbers,
     q_pochhammer,
 )
-from qstarlike.qarith import _MEMO_CAPACITY, _MEMO_ENTRIES, _memo_table
+from qstarlike.qarith import _MEMO_BYTES, _MEMO_CAPACITY, _memo, _memo_clear, _memo_info
 
 
 class TestQNumber:
@@ -212,7 +212,7 @@ class TestPrefixMemo:
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_cached_q_numbers_equal_scalar_loop(self, q, order):
         ref = [q_number(k, q) for k in range(max(MEMO_SIZES) + 1)]
-        _memo_table.cache_clear()
+        _memo_clear()
         for m in sorted(MEMO_SIZES, reverse=order == "descending"):
             assert q_numbers(m, q).tolist() == ref[: m + 1], m
 
@@ -223,15 +223,33 @@ class TestPrefixMemo:
         assert q_numbers(8, 0.5)[1] == 1.0
 
     def test_memo_stays_within_its_bound(self):
-        _memo_table.cache_clear()
-        for q in np.linspace(0.01, 0.99, 200).tolist():
-            q_numbers(40, q)
-            assert _memo_table.cache_info().currsize <= _MEMO_ENTRIES
+        # 200 tables of 4096 entries (32 KiB each) are 3.1 times the bound;
+        # the table read at every step is never the least recently used
+        _memo_clear()
+        qs = np.linspace(0.01, 0.99, 200).tolist()
+        for q in qs:
+            q_numbers(_MEMO_CAPACITY - 1, q)
+            q_numbers(_MEMO_CAPACITY - 1, 0.995)
+            assert _memo_info()["bytes"] <= _MEMO_BYTES
+        info = _memo_info()
+        assert info["builds"] == len(qs) + 1
+        assert info["tables"] < len(qs)
+        q_numbers(_MEMO_CAPACITY - 1, qs[-1])
+        assert _memo_info()["builds"] == len(qs) + 1
+        q_numbers(_MEMO_CAPACITY - 1, qs[0])
+        assert _memo_info()["builds"] == len(qs) + 2
+
+    def test_one_table_per_key_grows_to_the_longest_request(self):
+        _memo_clear()
+        for m in (3, 40, 20, 15, 100, 60):
+            q_numbers(m, 0.4)
+        # capacities 16, 64 and 128: a shorter request reads the longer table
+        assert _memo_info() == {"tables": 1, "bytes": 128 * 8, "builds": 3}
 
     def test_request_above_the_capacity_ceiling_is_not_retained(self):
-        _memo_table.cache_clear()
+        _memo_clear()
         table = q_numbers(_MEMO_CAPACITY, 0.7)
-        assert _memo_table.cache_info().currsize == 0
+        assert _memo_info()["tables"] == 0
         assert not table.flags.writeable
         assert table[:_MEMO_CAPACITY].tolist() == q_numbers(_MEMO_CAPACITY - 1, 0.7).tolist()
 
@@ -243,7 +261,7 @@ class TestPrefixMemo:
             got = []
             for i in range(6 * len(keys)):
                 if i % len(keys) == shift:
-                    _memo_table.cache_clear()
+                    _memo_clear()
                 q, m = keys[(i * (shift + 1)) % len(keys)]
                 got.append(((q, m), q_numbers(m, q).tolist()))
             return got
@@ -259,3 +277,5 @@ class TestPrefixMemo:
         for got in results:
             for key, values in got:
                 assert values == ref[key], key
+        # the byte count a lost update would break
+        assert _memo_info()["bytes"] == sum(entry[0].nbytes for entry in _memo.values())
