@@ -8,6 +8,7 @@ Schwarz-polynomial membership oracle."""
 from .bounds import (
     BOUND_TOL,
     bernardi_coeff_bound,
+    bernardi_coeff_bounds,
     bernardi_fekete_bound,
     coeff_bound,
     coeff_bounds,
@@ -28,8 +29,6 @@ from .classify import (
     boundary_sample_test,
     convolution_test,
     corollary_reduction,
-    janowski_value,
-    subordination_modulus,
     sufficiency_test,
     verdict_to_json,
 )
@@ -47,7 +46,6 @@ from .operators import (
     ruscheweyh_classical,
 )
 from .oracle import (
-    JanowskiExpansion,
     SchwarzPoly,
     dump_corpus,
     janowski_expand,

@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from .classify import JanowskiParams
-from .operators import _lambda_row, bernardi_factors, lambda_coeff, lambda_table
-from .qarith import QContext, _prefix, q_number, q_numbers, q_numbers_real
+from .operators import _bernardi_numbers, _lambda_row, bernardi_factors, lambda_coeff, lambda_table
+from .qarith import QContext, _prefix, q_number, q_numbers
 from .series import NormalizedMember
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "third_functional_value",
     "third_functional_bound",
     "bernardi_coeff_bound",
+    "bernardi_coeff_bounds",
     "bernardi_fekete_bound",
     "member_majorant",
 ]
@@ -166,8 +167,17 @@ def third_functional_bound(ctx: QContext, jp: JanowskiParams) -> float:
 
 
 def bernardi_coeff_bound(n: int, bp, jp: JanowskiParams) -> float:
-    """coeff_bound(n) shrunk by the Bernardi factor [eta+p,q]/[eta+p+n,q]."""
-    return float(bernardi_factors(bp, n)[-1]) * coeff_bound(n, bp.ctx, jp)
+    """coeff_bound(n) shrunk by the Bernardi factor [eta+p,q]/[eta+p+n,q]:
+    entry n of bernardi_coeff_bounds."""
+    if n != int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return float(bernardi_coeff_bounds(bp, jp, int(n))[-1])
+
+
+def bernardi_coeff_bounds(bp, jp: JanowskiParams, order: int) -> np.ndarray:
+    """bernardi_coeff_bound(n) for n = 1 .. order; raises the ValueError of
+    coeff_bounds when a bound overflows."""
+    return bernardi_factors(bp, order)[1:] * coeff_bounds(bp.ctx, jp, order)
 
 
 def bernardi_fekete_bound(sigma: complex, bp, jp: JanowskiParams) -> float:
@@ -176,10 +186,9 @@ def bernardi_fekete_bound(sigma: complex, bp, jp: JanowskiParams) -> float:
     Equals ([eta+p,q]/[eta+p+2,q]) * fekete_szego_bound at the effective
     lam = sigma [eta+p,q][eta+p+2,q]/[eta+p+1,q]^2.
     """
-    ctx = bp.ctx
-    e0, e1, e2 = q_numbers_real(bp.eta + ctx.p + np.arange(3.0), ctx.q).tolist()
+    e0, e1, e2 = _bernardi_numbers(bp, 2).tolist()
     effective = complex(sigma) * e0 * e2 / (e1 * e1)
-    return (e0 / e2) * fekete_szego_bound(effective, ctx, jp)
+    return (e0 / e2) * fekete_szego_bound(effective, bp.ctx, jp)
 
 
 def member_majorant(ctx: QContext, jp: JanowskiParams, safety: float = 1.05) -> tuple[float, float]:

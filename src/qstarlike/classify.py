@@ -32,12 +32,10 @@ __all__ = [
     "MembershipVerdict",
     "SamplePoleError",
     "SamplingSpec",
-    "janowski_value",
     "sufficiency_test",
     "corollary_reduction",
     "boundary_sample_test",
     "convolution_test",
-    "subordination_modulus",
     "verdict_to_json",
 ]
 
@@ -118,24 +116,16 @@ class SamplePoleError(ValueError):
         self.witness = witness
 
 
-def janowski_value(z: complex, jp: JanowskiParams) -> complex:
-    """(1 + A z)/(1 + B z); the pole at z = -1/B lies outside the open disk."""
-    den = 1.0 + jp.B * np.asarray(z, dtype=complex)
-    if np.any(den == 0.0):
-        raise ZeroDivisionError("evaluation at the pole z = -1/B")
-    out = (1.0 + jp.A * np.asarray(z, dtype=complex)) / den
-    if np.asarray(z).shape == ():
-        return complex(out)
-    return out
-
-
 def sufficiency_test(f: NormalizedMember, jp: JanowskiParams) -> MembershipVerdict:
     """Coefficient-sum criterion applied to the truncated series.
 
-    Pass means sum_n Lambda_(n+p) ([n+p,q](1-B) - [p,q](1-A)) |a_(n+p)|
+    Pass means sum_n Lambda_(n+p) (([n+p,q] - [p,q]) + |A[p,q] - B[n+p,q]|) |a_(n+p)|
     stays within [p,q](A-B); margin is the unused headroom.  Because only
     retained coefficients enter, Pass is sufficient for the truncation and
-    Fail carries the index of the dominating term.
+    Fail carries the index of the dominating term.  Where A[p,q] >= B[n+p,q]
+    (at every n when B <= A(1 - q^p), so whenever B <= 0) the weight is the
+    paper's signed form [n+p,q](1-B) - [p,q](1-A); elsewhere it is
+    [n+p,q](1+B) - [p,q](1+A).
     """
     ctx = f.ctx
     q, p = ctx.q, ctx.p
@@ -146,7 +136,12 @@ def sufficiency_test(f: NormalizedMember, jp: JanowskiParams) -> MembershipVerdi
     if order == 0:
         return MembershipVerdict(VerdictKind.SUFFICIENCY_PASS, rhs, None)
     lam = lambda_table(ctx, order).values
-    weights = qn[p + 1 :] * (1.0 - jp.B) - qp * (1.0 - jp.A)
+    qnp = qn[p + 1 :]
+    weights = np.where(
+        jp.A * qp >= jp.B * qnp,
+        qnp * (1.0 - jp.B) - qp * (1.0 - jp.A),
+        qnp * (1.0 + jp.B) - qp * (1.0 + jp.A),
+    )
     terms = lam * weights * np.abs(f.series.coeffs[1:])
     lhs = float(terms.sum())
     margin = rhs - lhs
@@ -158,9 +153,9 @@ def sufficiency_test(f: NormalizedMember, jp: JanowskiParams) -> MembershipVerdi
 def corollary_reduction(f: NormalizedMember, jp: JanowskiParams) -> MembershipVerdict:
     """Independent code path for the p = 1, mu = 0 reduction of the criterion.
 
-    Checks sum_(j>=2) ([j,q](1-B) - 1 + A) |a_j| <= A - B directly, without
-    kernel coefficients; must return the same margin as sufficiency_test
-    whenever both apply.
+    Checks sum_(j>=2) (([j,q] - 1) + |A - B[j,q]|) |a_j| <= A - B directly,
+    without kernel coefficients; must return the same margin as
+    sufficiency_test whenever both apply.
     """
     ctx = f.ctx
     if ctx.p != 1 or ctx.mu != 0 or ctx.lambda_convention is not LambdaConvention.LIMIT_CONSISTENT:
@@ -169,7 +164,12 @@ def corollary_reduction(f: NormalizedMember, jp: JanowskiParams) -> MembershipVe
     lhs = 0.0
     best, best_j = -math.inf, 1
     for j in range(2, f.series.trunc_order + 2):
-        term = (q_number(j, q) * (1.0 - jp.B) - 1.0 + jp.A) * abs(f.series.coeffs[j - 1])
+        qj = q_number(j, q)
+        if jp.A >= jp.B * qj:
+            weight = qj * (1.0 - jp.B) - 1.0 + jp.A
+        else:
+            weight = qj * (1.0 + jp.B) - 1.0 - jp.A
+        term = weight * abs(f.series.coeffs[j - 1])
         lhs += term
         if term > best:
             best, best_j = term, j - 1
@@ -187,64 +187,6 @@ def _strictly_negative(margin: float) -> float:
     return margin
 
 
-def _h_series(f: NormalizedMember, h_order: int | None, default_order: int):
-    """h = z d_q(L f) / ([p,q] L f) by series division, and its divisor [p,q] L f.
-
-    The numerator row [k+p,q] c_k of L f = sum c_k z^(k+p) is the E row of
-    `_membership_sums`.  h_order None expands to max(order of L f,
-    default_order); an overflowing expansion comes back non-finite, and
-    `_subordination_moduli` turns that into a SamplePoleError.
-    """
-    ctx = f.ctx
-    lf = apply_L(f)
-    num = TruncSeries(ctx.p, q_numbers(ctx.p + lf.trunc_order, ctx.q)[ctx.p :] * lf.coeffs)
-    den = TruncSeries(ctx.p, q_number(ctx.p, ctx.q) * lf.coeffs)
-    if h_order is None:
-        h_order = max(lf.trunc_order, default_order)
-    return ratio(num, den, order=h_order), den
-
-
-def _subordination_moduli(h: TruncSeries, jp: JanowskiParams, zs: np.ndarray):
-    """|(h - 1)/(A - B h)| and |A - B h| at the samples zs (one-dimensional).
-
-    Raises SamplePoleError at the first sample where h is not finite or
-    A - B h vanishes.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        hv = evaluate(h, zs)
-    finite = np.isfinite(hv)
-    if not finite.all():
-        bad = zs[int(np.argmin(finite))]
-        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
-    den = np.abs(jp.A - jp.B * hv)
-    if np.any(den < 1e-14 * (1.0 + np.abs(hv))):
-        raise SamplePoleError("vanishing denominator A - B h(z)", complex(zs[int(np.argmin(den))]))
-    v = np.abs(hv - 1.0) / den
-    if not np.isfinite(v).all():
-        bad = zs[int(np.argmin(np.isfinite(v)))]
-        raise SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
-    return v, den
-
-
-def subordination_modulus(
-    f: NormalizedMember,
-    jp: JanowskiParams,
-    z,
-    h_order: int | None = None,
-) -> np.ndarray:
-    """The sampled modulus |(h - 1)/(A - B h)| with h = z d_q(L f)/([p,q] L f).
-
-    For a member this equals |w(z)| < 1.  These are the moduli of
-    boundary_sample_test before its truncation allowance, with h expanded to
-    h_order (default: max(order of L f, 48)).  Raises SamplePoleError when h
-    is not finite or A - B h vanishes at a sample.
-    """
-    h, _ = _h_series(f, h_order, 48)
-    zs = np.asarray(z, dtype=complex)
-    v, _ = _subordination_moduli(h, jp, zs.reshape(-1))
-    return v.reshape(zs.shape)
-
-
 def _min_order_for_tau(r: float, span: float, target: float) -> int:
     # smallest N with span * r^(N+1) / (1-r) <= target
     n = math.ceil(math.log(target * (1.0 - r) / span) / math.log(r)) - 1
@@ -259,8 +201,9 @@ def boundary_sample_test(
 ) -> MembershipVerdict:
     """Sample the subordination modulus at m equispaced points on |z| = r.
 
-    h = z d_q(L f) / ([p,q] L f) is expanded by series division to the
-    order of L f, or further until the membership-conditional tail
+    The modulus is |(h - 1)/(A - B h)| with h = z d_q(L f) / ([p,q] L f);
+    for a member it equals |w(z)| < 1.  h is expanded by series division
+    to the order of L f, or further until the membership-conditional tail
     allowance drops below 0.01.  Were f a member, h's coefficients would be
     bounded by A - B, so the discarded tail at radius r is at most
     (A-B) r^(order+1)/(1-r); the verdict budgets for it on both sides:
@@ -268,12 +211,22 @@ def boundary_sample_test(
     * Pass needs every modulus + allowance < 1 (honest about truncation),
     * a sample with modulus - allowance >= 1 certifies non-membership,
     * anything between is reported as Fail with margin near zero.
+
+    Raises SamplePoleError when L f vanishes on the circle, or h is not
+    finite (its expansion overflowed) or A - B h vanishes at a sample.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
     if m < 8:
         raise ValueError("need at least 8 samples")
-    h, den = _h_series(f, None, _min_order_for_tau(r, jp.span, _TAU_TARGET))
+    ctx = f.ctx
+    lf = apply_L(f)
+    # the numerator row [k+p,q] c_k of L f = sum c_k z^(k+p) is the E row of
+    # `_membership_sums`; an overflowing quotient comes back non-finite
+    num = TruncSeries(ctx.p, q_numbers(ctx.p + lf.trunc_order, ctx.q)[ctx.p :] * lf.coeffs)
+    den = TruncSeries(ctx.p, q_number(ctx.p, ctx.q) * lf.coeffs)
+    order = max(lf.trunc_order, _min_order_for_tau(r, jp.span, _TAU_TARGET))
+    h = ratio(num, den, order=order)
     zs = r * np.exp(2j * np.pi * np.arange(m) / m)
     den_vals = evaluate(den, zs)
     den_abs = np.abs(den_vals)
@@ -282,8 +235,21 @@ def boundary_sample_test(
             "L f vanishes on the sample circle", complex(zs[int(np.argmin(den_abs))])
         )
 
+    def overflowed(values):
+        bad = zs[int(np.argmin(np.isfinite(values)))]
+        return SamplePoleError("h(z) is not finite; its series expansion overflowed", complex(bad))
+
     tau = tail_bound(h, r, coeff=jp.span, growth=1.0)
-    v, den_mod = _subordination_moduli(h, jp, zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hv = evaluate(h, zs)
+    if not np.isfinite(hv).all():
+        raise overflowed(hv)
+    den_mod = np.abs(jp.A - jp.B * hv)
+    if np.any(den_mod < 1e-14 * (1.0 + np.abs(hv))):
+        raise SamplePoleError("vanishing denominator A - B h(z)", complex(zs[int(np.argmin(den_mod))]))
+    v = np.abs(hv - 1.0) / den_mod
+    if not np.isfinite(v).all():
+        raise overflowed(v)
     # the allowance a truncation error of size tau can induce at each sample
     guard = den_mod - abs(jp.B) * tau
     # guard^2 overflowing to inf (a zero allowance) or underflowing to 0 (an

@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .bounds import bernardi_fekete_bound, coeff_bounds, fekete_szego_bound
+from .bounds import bernardi_coeff_bounds, bernardi_fekete_bound, coeff_bounds, fekete_szego_bound
 from .classify import (
     JanowskiParams,
     boundary_sample_test,
@@ -220,9 +220,7 @@ def _cmd_bounds_table(ns) -> int:
         jp = JanowskiParams(*ab)
         bounds = coeff_bounds(ctx, jp, ns.N).tolist()
         if ns.eta is not None:
-            factors = bernardi_factors(BernardiParams(ns.eta, ctx), ns.N)
-            # bernardi_coeff_bound, for every n at once
-            bernardi_bounds = (factors[1:] * bounds).tolist()
+            bernardi_bounds = bernardi_coeff_bounds(BernardiParams(ns.eta, ctx), jp, ns.N).tolist()
         for n in range(1, ns.N + 1):
             row = {
                 "p": p,

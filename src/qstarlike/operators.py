@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qarith import LambdaConvention, QContext, _prefix, q_number_real, q_numbers, q_numbers_real
+from .qarith import LambdaConvention, QContext, _prefix, q_numbers, q_numbers_real
 from .series import NormalizedMember, TruncSeries, evaluate, hadamard
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "JACKSON_CUTOFF",
 ]
 
-#: Jackson sums stop once q^k drops below this, or at an explicit term cap.
+#: Jackson sums stop once q^k drops below this.
 JACKSON_CUTOFF = 1e-12
 
 #: Most Jackson terms evaluated per array pass; bounds the memory as q -> 1-.
@@ -154,10 +154,15 @@ class BernardiParams:
             raise ValueError(f"eta must exceed -p = {-self.ctx.p}, got {self.eta}")
 
 
+def _bernardi_numbers(bp: BernardiParams, order: int) -> np.ndarray:
+    """[eta+p+n, q] for n = 0 .. order: the q-numbers every Bernardi form reads."""
+    ctx = bp.ctx
+    return q_numbers_real(bp.eta + ctx.p + np.arange(order + 1.0), ctx.q)
+
+
 def bernardi_factors(bp: BernardiParams, order: int) -> np.ndarray:
     """The q-Bernardi scaling [eta+p,q]/[eta+p+n,q] of offset n, for n = 0 .. order."""
-    ctx = bp.ctx
-    e = q_numbers_real(bp.eta + ctx.p + np.arange(order + 1.0), ctx.q)
+    e = _bernardi_numbers(bp, order)
     return e[0] / e
 
 
@@ -167,25 +172,17 @@ def bernardi_series(f: NormalizedMember, bp: BernardiParams) -> TruncSeries:
     return TruncSeries(bp.ctx.p, factors * f.series.coeffs)
 
 
-def bernardi_jackson(
-    f: NormalizedMember,
-    bp: BernardiParams,
-    z: complex,
-    terms: int | None = None,
-) -> complex:
+def bernardi_jackson(f: NormalizedMember, bp: BernardiParams, z: complex) -> complex:
     """Jackson-integral form: ([eta+p,q]/z^eta) * integral_0^z t^(eta-1) f(t) d_q t.
 
     The q-integral is the sum z (1-q) sum_k q^k g(q^k z) with g(t) = t^(eta-1) f(t)
     over every k with q^k >= JACKSON_CUTOFF: log(JACKSON_CUTOFF)/log(q) terms,
     about 27.6 / (1 - q) near q = 1, where bernardi_series is the practical
-    form.  An explicit `terms` also stops the sum after that many terms.
-    Non-integer eta uses principal powers, which are exact along the ray
+    form.  Non-integer eta uses principal powers, which are exact along the ray
     t = q^k z.  The terms decay like q^(k(eta+p)), so for eta + p < 1 (only
     a non-integer eta gets there) the cutoff would truncate the sum
     visibly; that range raises ValueError.
     """
-    if terms is not None and terms < 1:
-        raise ValueError("terms must be positive")
     eta = float(bp.eta)
     integral_eta = eta.is_integer()
     ctx = bp.ctx
@@ -199,16 +196,15 @@ def bernardi_jackson(
         return 0.0 + 0.0j
     q = ctx.q
     exponent = int(eta) - 1 if integral_eta else eta - 1.0
-    remaining = math.inf if terms is None else int(terms)
     # the cutoff keeps q^k for k <= log(cutoff)/log(q); one term more lets the
     # first pass see where the kept terms stop, and should rounding in the
     # repeated products keep that one too, the loop goes on
     wanted = math.floor(math.log(JACKSON_CUTOFF) / math.log(q)) + 2
     total = 0.0 + 0.0j
     first = 1.0
-    while remaining > 0:
+    while True:
         # q^k by repeated multiplication, continuing from the previous chunk
-        size = int(min(remaining, _JACKSON_CHUNK, wanted))
+        size = min(_JACKSON_CHUNK, wanted)
         steps = np.full(size, q)
         steps[0] = first
         qk = np.multiply.accumulate(steps)
@@ -217,7 +213,6 @@ def bernardi_jackson(
         total += np.sum(qk * t**exponent * evaluate(f.series, t))
         if qk.size < size:
             break
-        remaining -= size
         wanted = wanted - size if wanted > size else _JACKSON_CHUNK
         first = qk[-1] * q
     jackson = z * (1.0 - q) * total
@@ -225,4 +220,4 @@ def bernardi_jackson(
         zpow = z ** int(eta)
     else:
         zpow = z**eta
-    return q_number_real(eta + ctx.p, q) * jackson / zpow
+    return _bernardi_numbers(bp, 0)[0] * jackson / zpow

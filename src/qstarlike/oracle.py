@@ -32,7 +32,6 @@ from .series import NormalizedMember, TruncSeries
 
 __all__ = [
     "SchwarzPoly",
-    "JanowskiExpansion",
     "random_schwarz",
     "janowski_expand",
     "schwarz_to_member",
@@ -111,30 +110,18 @@ def _exceeds_rotation_bound(d: np.ndarray, jp: JanowskiParams) -> bool:
     return bool(d.size and np.max(np.abs(d)) > jp.span * (1.0 + 1e-9) + 1e-9)
 
 
-@dataclass(frozen=True)
-class JanowskiExpansion:
-    """Coefficients d_1 .. d_N of (1 + A w)/(1 + B w) - 1; each |d_n| <= A - B."""
-
-    d: np.ndarray
-    jp: JanowskiParams
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.d, dtype=complex, copy=True).reshape(-1)
-        if not np.isfinite(arr).all():
-            raise ValueError("Janowski coefficients must be finite")
-        if _exceeds_rotation_bound(arr, self.jp):
-            raise ValueError("rotation-lemma bound |d_n| <= A - B violated")
-        arr.setflags(write=False)
-        object.__setattr__(self, "d", arr)
-
-
-def janowski_expand(w: SchwarzPoly, jp: JanowskiParams, order: int) -> JanowskiExpansion:
-    """Taylor coefficients of (1 + A w(z))/(1 + B w(z)) to the given order.
+def janowski_expand(w: SchwarzPoly, jp: JanowskiParams, order: int) -> np.ndarray:
+    """Taylor coefficients d_1 .. d_order of (1 + A w(z))/(1 + B w(z)), read-only.
 
     First two satisfy d_1 = (A-B) w_1 and d_2 = (A-B)(w_2 - B w_1^2).
-    One row of the division `member_matrix` runs for a whole corpus.
+    One row of the division `member_matrix` runs for a whole corpus, with
+    the same ValueError when the rotation-lemma bound |d_n| <= A - B fails.
     """
-    return JanowskiExpansion(_janowski_rows(_schwarz_matrix([w], order), jp)[0, 1:], jp)
+    d = _janowski_rows(_schwarz_matrix([w], order), jp)[0, 1:].copy()
+    if _exceeds_rotation_bound(d, jp):
+        raise ValueError("rotation-lemma bound |d_n| <= A - B violated")
+    d.setflags(write=False)
+    return d
 
 
 def member_matrix(

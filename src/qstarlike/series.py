@@ -53,15 +53,6 @@ class TruncSeries:
         """Number of retained terms beyond the leading exponent."""
         return self.coeffs.size - 1
 
-    def coeff(self, exponent: int) -> complex:
-        """Coefficient at z^exponent; zero below the lead, error past the truncation."""
-        if exponent < self.lead:
-            return 0.0 + 0.0j
-        j = exponent - self.lead
-        if j > self.trunc_order:
-            raise IndexError(f"exponent {exponent} is beyond the truncation order")
-        return complex(self.coeffs[j])
-
     def __repr__(self) -> str:
         return f"TruncSeries(lead={self.lead}, order={self.trunc_order})"
 
@@ -103,9 +94,7 @@ def ratio(f: TruncSeries, g: TruncSeries, order: int | None = None) -> TruncSeri
 
     The solve runs with numpy's overflow and invalid-value warnings off: an
     overflowing quotient comes back with non-finite coefficients instead,
-    which both consumers of the boundary-test quotient h
-    (`classify.boundary_sample_test`, `classify.subordination_modulus`) turn
-    into a SamplePoleError.
+    which `classify.boundary_sample_test` turns into a SamplePoleError.
     """
     if g.coeffs[0] == 0.0:
         raise ZeroDivisionError("denominator has zero leading coefficient")

@@ -15,6 +15,7 @@ from qstarlike import (
     TruncSeries,
     apply_L,
     bernardi_coeff_bound,
+    bernardi_coeff_bounds,
     bernardi_fekete_bound,
     bernardi_jackson,
     bernardi_series,
@@ -208,6 +209,7 @@ class TestBoundMemo:
             lambda: coeff_bound(166, ctx, jp),
             lambda: coeff_bounds(ctx, jp, 200),
             lambda: bernardi_coeff_bound(166, BernardiParams(1.0, ctx), jp),
+            lambda: bernardi_coeff_bounds(BernardiParams(1.0, ctx), jp, 200),
         ):
             with pytest.raises(ValueError, match="n = 166"):
                 call()
@@ -341,6 +343,17 @@ class TestBernardiBounds:
         ctx = QContext(1, 1.0 - 1e-6, 0.0)
         bp = BernardiParams(1.0, ctx)
         assert bernardi_coeff_bound(1, bp, JP) == pytest.approx(4.0 / 3.0, abs=1e-4)
+
+    def test_table_equals_scalar_fold(self):
+        # entry n is bernardi_coeff_bound(n) and ([eta+p,q]/[eta+p+n,q]) coeff_bound(n), bit for bit
+        for p, q, eta in itertools.product((1, 3), (0.3, 0.9), (-0.5, 1.0, 2.5)):
+            ctx = QContext(p, q, 1.0)
+            bp = BernardiParams(eta, ctx)
+            table = bernardi_coeff_bounds(bp, JP, 12)
+            base = q_number_real(eta + p, q)
+            for n in range(1, 13):
+                ref = base / q_number_real(eta + p + n, q) * coeff_bound(n, ctx, JP)
+                assert table[n - 1] == bernardi_coeff_bound(n, bp, JP) == ref
 
     def test_shrinks_plain_bound(self):
         bp = BernardiParams(0.0, CTX)

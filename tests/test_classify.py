@@ -24,25 +24,38 @@ from qstarlike import (
     coeff_bound,
     convolution_test,
     corollary_reduction,
-    janowski_value,
     lambda_table,
     member_matrix,
     q_number,
     random_schwarz,
     ratio,
+    schwarz_corpus,
     schwarz_to_member,
     sufficiency_test,
     verdict_to_json,
 )
-from qstarlike.classify import _convolution_scan, _membership_sums, subordination_modulus
+from qstarlike.classify import _convolution_scan, _membership_sums
 from qstarlike.cli import AB_GRID, MU_GRID, P_GRID, Q_GRID
 
 CTX = QContext(1, 0.5, 0.0)
 JP = JanowskiParams(1.0, -1.0)
+#: Targets with B > 0, where A[p,q] - B[n+p,q] changes sign within a few terms.
+B_POSITIVE = ((1.0, 0.25), (1.0, 0.5), (0.75, 0.5), (0.5, 0.25), (1.0, 0.9))
 
 
 def member(ctx, tail):
     return NormalizedMember(ctx, TruncSeries(ctx.p, [1.0] + list(tail)))
+
+
+def q_roots(f, jp):
+    """Zeros of Q = sum_k (B[k+p,q] - A[p,q]) c_k z^k, c the row of L f.
+
+    They are the poles of w = -P/Q, so a member has none in the disk.  The
+    coefficients are the sums of `_membership_sums` for one c_k z^k at z = 1.
+    """
+    lf = apply_L(f).coeffs
+    _, Q, _ = _membership_sums(np.diag(lf), f.ctx, jp, np.ones(1))
+    return np.roots(Q[::-1, 0])
 
 
 class TestJanowskiParams:
@@ -54,22 +67,6 @@ class TestJanowskiParams:
     def test_rejects_bad_pairs(self, a, b):
         with pytest.raises(ValueError):
             JanowskiParams(a, b)
-
-
-class TestJanowskiValue:
-    def test_at_origin(self):
-        assert janowski_value(0.0, JP) == 1.0
-
-    def test_half_plane_map(self):
-        assert janowski_value(0.5, JP) == pytest.approx(3.0)
-
-    def test_linear_case(self):
-        assert janowski_value(0.5j, JanowskiParams(1.0, 0.0)) == pytest.approx(1 + 0.5j)
-
-    def test_pole(self):
-        # the pole sits at z = -1/B, on the unit circle for B = -1
-        with pytest.raises(ZeroDivisionError):
-            janowski_value(1.0, JP)
 
 
 class TestSufficiency:
@@ -100,6 +97,40 @@ class TestSufficiency:
                 assert v.margin < 0 and v.witness is not None
             else:
                 assert v.margin >= 0
+
+    def test_weight_takes_the_modulus_for_b_positive(self):
+        # z + 0.4 z^3 at (A, B) = (1, 0.75): A[1,q] < B[3,q] = 1.3125, so the
+        # weight is ([3,q] - 1) + |1 - 1.3125| = 1.0625 and the sum 0.425
+        # exceeds A - B = 0.25; the signed weight 0.4375 passed it
+        jp = JanowskiParams(1.0, 0.75)
+        f = member(CTX, [0.0, 0.4])
+        v = sufficiency_test(f, jp)
+        assert v.kind is VerdictKind.SUFFICIENCY_FAIL
+        assert v.margin == pytest.approx(-0.175, abs=1e-15)
+        assert v.witness == 2
+        assert corollary_reduction(f, jp).margin == pytest.approx(v.margin, abs=1e-15)
+        assert boundary_sample_test(f, jp).kind is VerdictKind.BOUNDARY_FAIL
+
+    def test_b_positive_passes_are_members(self):
+        # every Pass of a seeded B > 0 sweep is confirmed by the exact quotient
+        # w = -P/Q: |P|/|Q| < 1 on |z| = 0.999 and no zero of Q in the disk
+        rng = np.random.default_rng(10)
+        corpus = schwarz_corpus(ks=(1, 2, 3, 4), seeds_per_k=2, base_seed=7)
+        zs = 0.999 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+        passes = 0
+        for p, q, mu in itertools.product(P_GRID, Q_GRID, MU_GRID):
+            ctx = QContext(p, q, mu)
+            jp = JanowskiParams(*B_POSITIVE[rng.integers(len(B_POSITIVE))])
+            for row in member_matrix(corpus, ctx, jp, order=8):
+                for scale in (0.5, 1.0, 1.5, 2.5):
+                    f = member(ctx, scale * row[1:])
+                    if not sufficiency_test(f, jp).passed:
+                        continue
+                    passes += 1
+                    P, Q, _ = _membership_sums(apply_L(f).coeffs[None, :], ctx, jp, zs)
+                    assert np.max(np.abs(P) / np.abs(Q)) < 1.0, (ctx, jp, scale)
+                    assert np.min(np.abs(q_roots(f, jp))) > 1.0, (ctx, jp, scale)
+        assert passes > 100
 
 
 class TestCorollaryReduction:
@@ -156,9 +187,10 @@ class TestBoundary:
             assert v.kind is VerdictKind.BOUNDARY_PASS
 
     def test_monomial_modulus_identically_zero(self):
+        # |w| = |P|/|Q|, and P = z d_q(L f)/z^p - [p,q] L f/z^p vanishes for z^p
         zs = 0.9 * np.exp(2j * np.pi * np.arange(32) / 32)
-        mods = subordination_modulus(member(CTX, []), JP, zs)
-        assert np.max(mods) <= 1e-14
+        P, Q, _ = _membership_sums(apply_L(member(CTX, [])).coeffs[None, :], CTX, JP, zs)
+        assert np.max(np.abs(P) / np.abs(Q)) <= 1e-14
 
     def test_oracle_member_passes_at_default_radius(self):
         ctx = QContext(1, 0.9, 0.0)
@@ -172,7 +204,12 @@ class TestBoundary:
         v = boundary_sample_test(f, JP, r=0.9, m=720)
         assert v.kind is VerdictKind.BOUNDARY_FAIL
         assert v.margin < 0
-        assert abs(float(subordination_modulus(f, JP, v.witness, h_order=72))) >= 1.0
+        # the certificate: Q = -2 - 12.5 z vanishes at z = -0.16 inside the
+        # disk while P = 2.5 z does not, so w = -P/Q has a pole there
+        (root,) = q_roots(f, JP)
+        assert root == pytest.approx(-0.16, abs=1e-12)
+        P, _, _ = _membership_sums(apply_L(f).coeffs[None, :], CTX, JP, np.array([root]))
+        assert abs(P[0, 0]) == pytest.approx(0.4, abs=1e-12)
 
     def test_rotation_invariance(self):
         # f(z) -> e^(-ip phi) f(e^(i phi) z) preserves the class; with phi a
@@ -211,15 +248,6 @@ class TestBoundary:
             with pytest.raises(SamplePoleError):
                 boundary_sample_test(f, JP)
 
-    def test_modulus_of_overflowing_expansion_is_a_sample_pole(self):
-        # subordination_modulus builds the same h and must not return NaN
-        f = member(CTX, [0.0, 0.0, 1e20])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(SamplePoleError) as info:
-                subordination_modulus(f, JP, np.array([0.5, 0.9j]))
-        assert info.value.witness == 0.5
-
     def test_underflowing_guard_is_quiet(self):
         # the floored guard squared underflows to 0 at z^2 + 1.1 z^4
         f = member(QContext(2, 0.5, 0.0), [0.0, 1.1])
@@ -249,7 +277,7 @@ def test_starlike_kernel_coefficient_identity():
             series = ratio(numer, denom)
             for k in range(p, p + 9):
                 want = q_number(k - p + 1, q)
-                assert series.coeff(k) == pytest.approx(want, rel=1e-12)
+                assert series.coeffs[k - series.lead] == pytest.approx(want, rel=1e-12)
 
 
 def _kernel_row(theta, ctx, jp, order):

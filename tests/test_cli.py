@@ -5,9 +5,11 @@ import mpmath as mp
 import pytest
 
 from qstarlike import (
+    BernardiParams,
     JanowskiParams,
     QContext,
     TruncSeries,
+    bernardi_coeff_bound,
     coeff_bound,
     load_series,
     random_schwarz,
@@ -43,6 +45,20 @@ class TestQnum:
 
 
 class TestBoundsTable:
+    def test_bernardi_column_is_the_bernardi_bound(self, capsys):
+        status, out, _ = run_cli(
+            capsys,
+            "bounds-table",
+            "--p", "2", "--q", "0.7", "--mu", "1", "--A", "1", "--B", "-0.5",
+            "--N", "6", "--eta", "2.5", "--format", "json",
+        )
+        assert status == 0
+        ctx, jp = QContext(2, 0.7, 1.0), JanowskiParams(1.0, -0.5)
+        bp = BernardiParams(2.5, ctx)
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == list(range(1, 7))
+        assert [r["bernardi_bound"] for r in rows] == [bernardi_coeff_bound(n, bp, jp) for n in range(1, 7)]
+
     def test_single_point_rows(self, capsys):
         status, out, _ = run_cli(
             capsys,
@@ -160,6 +176,19 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["boundary"]["kind"] == "BoundaryFail"
         assert payload["convolution"]["kind"] == "ConvolutionFail"
+
+    def test_b_positive_non_member_is_not_a_sufficiency_pass(self, capsys, tmp_path):
+        # z + 0.4 z^3 at (A, B) = (1, 0.75) is no member: the criterion must
+        # weigh |A[p,q] - B[n+p,q]|, which fails it, where the signed form passed
+        path = write_series(tmp_path, "f.json", 1, [1.0, 0.0, 0.4])
+        status, out, _ = run_cli(
+            capsys, "check", "--in", path, "--q", "0.5", "--A", "1", "--B", "0.75",
+        )
+        assert status == 1
+        payload = json.loads(out)
+        assert payload["sufficiency"]["kind"] == "SufficiencyFail"
+        assert payload["sufficiency"]["witness"] == 2
+        assert payload["boundary"]["kind"] == "BoundaryFail"
 
     def test_sufficiency_fail_alone_is_status_zero(self, capsys, tmp_path):
         # an oracle member the coefficient criterion cannot certify: that

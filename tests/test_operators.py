@@ -29,6 +29,7 @@ from qstarlike import (
     schwarz_to_member,
     random_schwarz,
 )
+from qstarlike import operators
 from qstarlike.cli import MU_GRID, P_GRID, Q_GRID
 from qstarlike.operators import JACKSON_CUTOFF
 from qstarlike.oracle import _mp_lambda
@@ -76,26 +77,24 @@ def scalar_jackson(f, bp, z):
     return q_number_real(eta + bp.ctx.p, q) * (z * (1.0 - q) * total) / z**eta
 
 
-def chunked_jackson(f, bp, z, terms=None):
-    """Reference: bernardi_jackson with every array pass 16,384 powers q^k
-    long, filtered to q^k >= JACKSON_CUTOFF afterwards."""
+def chunked_jackson(f, bp, z, chunk=1 << 14):
+    """Reference: every term with q^k >= JACKSON_CUTOFF built in one array,
+    then summed `chunk` terms at a time, as fixed array passes would."""
     ctx, q, eta = bp.ctx, bp.ctx.q, float(bp.eta)
     exponent = int(eta) - 1 if eta.is_integer() else eta - 1.0
     z = complex(z)
-    remaining = math.inf if terms is None else int(terms)
-    total, first = 0.0 + 0.0j, 1.0
-    while remaining > 0:
-        size = int(min(remaining, 1 << 14))
-        steps = np.full(size, q)
-        steps[0] = first
-        qk = np.multiply.accumulate(steps)
-        qk = qk[qk >= JACKSON_CUTOFF]
-        t = qk * z
-        total += np.sum(qk * t**exponent * evaluate(f.series, t))
-        if qk.size < size:
+    size = chunk
+    while True:
+        qk = np.multiply.accumulate(np.r_[1.0, np.full(size - 1, q)])
+        if qk[-1] < JACKSON_CUTOFF:
             break
-        remaining -= size
-        first = qk[-1] * q
+        size *= 2
+    qk = qk[qk >= JACKSON_CUTOFF]
+    t = qk * z
+    terms = qk * t**exponent * evaluate(f.series, t)
+    total = 0.0 + 0.0j
+    for start in range(0, terms.size, chunk):
+        total += np.sum(terms[start : start + chunk])
     zpow = z ** int(eta) if eta.is_integer() else z**eta
     return q_number_real(eta + ctx.p, q) * (z * (1.0 - q) * total) / zpow
 
@@ -427,27 +426,35 @@ class TestBernardi:
 
     @pytest.mark.parametrize("q", [1e-13, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, Q_ESTIMATE_SHORT])
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.5, 0.25])
-    @pytest.mark.parametrize("terms", [None, 30, 20000])
-    def test_bit_identical_to_fixed_chunks(self, q, eta, terms):
+    @pytest.mark.parametrize("chunk", [None, 30, 20000])
+    def test_bit_identical_to_fixed_chunks(self, q, eta, chunk, monkeypatch):
         # only the powers the cutoff keeps are built, and no kept term is
-        # dropped: at 0.9999 the sum runs to 276,306 terms, past 16 chunks
+        # dropped: at 0.9999 the sum runs to 276,306 terms, past 16 chunks of
+        # the default length (None); a length of 30 splits the first pass
+        # from q = 0.5 on, and 20000 leaves a short last pass at 0.9999
+        if chunk is not None:
+            monkeypatch.setattr(operators, "_JACKSON_CHUNK", chunk)
         ctx = QContext(1, q, 1.0)
         bp = BernardiParams(eta, ctx)
         f = member(ctx, [0.4, 0.15j, -0.1, 0.05])
-        for z in (0.5, -0.3 + 0.4j, 0.35j):
-            got = bernardi_jackson(f, bp, z, terms=terms)
-            assert repr(got) == repr(chunked_jackson(f, bp, z, terms=terms)), z
+        # which terms are kept does not depend on z, so one point suffices
+        # for the explicit lengths at 0.9999 (9,211 passes of 30)
+        zs = (0.5,) if chunk is not None and q == 0.9999 else (0.5, -0.3 + 0.4j, 0.35j)
+        for z in zs:
+            got = bernardi_jackson(f, bp, z)
+            assert repr(got) == repr(chunked_jackson(f, bp, z, operators._JACKSON_CHUNK)), z
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("eta", [1.0, 2.0, 5.0])
     def test_consistency_with_64_terms_for_moderate_q(self, q, eta):
-        # 64 Jackson terms reach 1e-8 only while q^64 is already negligible;
-        # larger q needs the cutoff rule (exercised in the acceptance suite)
+        # the cutoff keeps 23 to 78 terms at these q, near the 64 that already
+        # reach 1e-8 while q^64 is negligible; larger q is exercised in the
+        # acceptance suite
         ctx = QContext(2, q, 1.0)
         bp = BernardiParams(eta, ctx)
         f = schwarz_to_member(random_schwarz(2, 23), ctx, JP, order=8)
         for z in (0.5, 0.35j, -0.25 + 0.3j):
-            lhs = bernardi_jackson(f, bp, z, terms=64)
+            lhs = bernardi_jackson(f, bp, z)
             rhs = evaluate(bernardi_series(f, bp), z)
             assert abs(lhs - rhs) <= 1e-8
 

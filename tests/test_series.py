@@ -27,13 +27,6 @@ def random_series(lead, order, rng=RNG, scale=1.0):
 
 
 class TestTruncSeries:
-    def test_coeff_lookup(self):
-        f = TruncSeries(2, [1, 5, 7])
-        assert f.coeff(1) == 0
-        assert f.coeff(3) == 5
-        with pytest.raises(IndexError):
-            f.coeff(5)
-
     def test_immutable(self):
         f = TruncSeries(0, [1, 2])
         with pytest.raises(ValueError):
